@@ -73,16 +73,20 @@ bench-net-check:
 # fault injection, session resumption, degraded-day settlement, retry
 # jitter, and the replica center-kill matrix — TestChaosReplica* kills
 # the leader in every settlement phase including between ledger append
-# and commit) plus a short fuzz pass over the wire codec, which is the
-# surface every injected fault ultimately exercises.
+# and commit), the journal and ledger-merge edge cases under the race
+# detector, plus short fuzz passes over the wire codec, which is the
+# surface every injected fault ultimately exercises, and over the
+# ledger encoder against encoding/json.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
 	$(GO) test ./cmd/enkitrace -count=1 -run 'Degraded|SurvivingReplica'
+	$(GO) test ./internal/netproto -race -count=4 -run 'Journal|ClusterLedgerMerge|GoldenLedger'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
+	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerAppendJSON -fuzztime 10s
 
 # The allocation-engine acceptance suite: the rewritten greedy and
 # branch-and-bound engines against the retained seed implementations

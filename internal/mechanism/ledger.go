@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 
 	"enki/internal/core"
 )
@@ -108,6 +110,181 @@ func BuildLedgerEntry(traceID string, day int, cfg Config, rating float64,
 	}
 	entry.BudgetResidual = entry.Revenue - cost
 	return entry
+}
+
+// Capacity hints for AppendJSON: a settled household's row runs to
+// about 325 bytes, the entry's own fields to under 256.
+const (
+	ledgerEntrySizeHint     = 256
+	ledgerHouseholdSizeHint = 352
+)
+
+// AppendJSON appends the entry's JSON encoding to b and returns the
+// extended buffer. The bytes are exactly those json.Marshal(e)
+// produces — field order, omitempty on substituted, encoding/json's
+// float format and string escaping — but built without reflection, so
+// a settlement path can afford to encode a day's ledger where it
+// settles it. Like json.Marshal it refuses NaN and ±Inf: the error is
+// the one json.Marshal returns, and b comes back at its original
+// length, never holding a partial encoding. A nil entry encodes as
+// null.
+func (e *LedgerEntry) AppendJSON(b []byte) ([]byte, error) {
+	if e == nil {
+		return append(b, "null"...), nil
+	}
+	start := len(b)
+	a := jsonAppender{buf: slices.Grow(b, ledgerEntrySizeHint+len(e.Households)*ledgerHouseholdSizeHint)}
+	a.raw(`{"schema":`)
+	a.int(e.Schema)
+	a.raw(`,"traceId":`)
+	a.str(e.TraceID)
+	a.raw(`,"day":`)
+	a.int(e.Day)
+	a.raw(`,"k":`)
+	a.float(e.K)
+	a.raw(`,"xi":`)
+	a.float(e.Xi)
+	a.raw(`,"rating":`)
+	a.float(e.Rating)
+	a.raw(`,"cost":`)
+	a.float(e.Cost)
+	a.raw(`,"revenue":`)
+	a.float(e.Revenue)
+	a.raw(`,"budgetResidual":`)
+	a.float(e.BudgetResidual)
+	a.raw(`,"peak":`)
+	a.float(e.Peak)
+	if e.Households == nil {
+		a.raw(`,"households":null}`)
+	} else {
+		a.raw(`,"households":[`)
+		for i := range e.Households {
+			if i > 0 {
+				a.raw(",")
+			}
+			a.household(&e.Households[i])
+		}
+		a.raw("]}")
+	}
+	if a.bad {
+		_, err := json.Marshal(a.invalid)
+		return a.buf[:start], err
+	}
+	return a.buf, nil
+}
+
+func (a *jsonAppender) household(h *LedgerHousehold) {
+	a.raw(`{"id":`)
+	a.int(int(h.ID))
+	a.raw(`,"reported":{"window":`)
+	a.interval(h.Reported.Window)
+	a.raw(`,"duration":`)
+	a.int(h.Reported.Duration)
+	a.raw(`},"assigned":`)
+	a.interval(h.Assigned)
+	a.raw(`,"consumed":`)
+	a.interval(h.Consumed)
+	a.raw(`,"defermentSlots":`)
+	a.int(h.DefermentSlots)
+	if h.Substituted {
+		a.raw(`,"substituted":true`)
+	}
+	if h.Defected {
+		a.raw(`,"defected":true`)
+	} else {
+		a.raw(`,"defected":false`)
+	}
+	a.raw(`,"predictedFlexibility":`)
+	from := len(a.buf)
+	a.float(h.PredictedFlexibility)
+	to := len(a.buf)
+	a.raw(`,"flexibility":`)
+	if math.Float64bits(h.Flexibility) == math.Float64bits(h.PredictedFlexibility) {
+		// A compliant household keeps its predicted flexibility (Eq. 4):
+		// reuse the digits rather than format the same float twice.
+		a.buf = append(a.buf, a.buf[from:to]...)
+	} else {
+		a.float(h.Flexibility)
+	}
+	a.raw(`,"defection":`)
+	a.float(h.Defection)
+	a.raw(`,"socialCost":`)
+	a.float(h.SocialCost)
+	a.raw(`,"payment":`)
+	a.float(h.Payment)
+	a.raw("}")
+}
+
+// jsonAppender builds the ledger's JSON by hand. A non-finite float
+// cannot be encoded; the first one is kept so AppendJSON can report
+// it with json.Marshal's own error.
+type jsonAppender struct {
+	buf     []byte
+	bad     bool
+	invalid float64
+}
+
+func (a *jsonAppender) raw(s string) { a.buf = append(a.buf, s...) }
+
+func (a *jsonAppender) int(v int) { a.buf = strconv.AppendInt(a.buf, int64(v), 10) }
+
+func (a *jsonAppender) interval(iv core.Interval) {
+	a.raw(`{"begin":`)
+	a.int(iv.Begin)
+	a.raw(`,"end":`)
+	a.int(iv.End)
+	a.raw("}")
+}
+
+// float follows encoding/json's float64 rule: shortest round-trip
+// digits in 'f' format, or 'e' below 1e-6 and from 1e21 on in
+// magnitude, with a two-digit negative exponent shortened (e-07 →
+// e-7). Whole numbers below 1e15 (a non-defector's zero defection,
+// the peak) print as integers, which is what that rule yields for them
+// without the shortest-digits search.
+func (a *jsonAppender) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if !a.bad {
+			a.bad, a.invalid = true, f
+		}
+		return
+	}
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		if f == 0 && math.Signbit(f) {
+			a.raw("-0")
+			return
+		}
+		a.buf = strconv.AppendInt(a.buf, int64(f), 10)
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	a.buf = strconv.AppendFloat(a.buf, f, format, -1, 64)
+	if format == 'e' {
+		b := a.buf
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			a.buf = b[:n-1]
+		}
+	}
+}
+
+// str quotes s directly when encoding/json would copy every byte
+// as-is — printable ASCII other than the quote, backslash and the
+// HTML-escaped <, > and & — and otherwise defers to json.Marshal.
+func (a *jsonAppender) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			a.buf = append(a.buf, q...)
+			return
+		}
+	}
+	a.buf = append(a.buf, '"')
+	a.buf = append(a.buf, s...)
+	a.buf = append(a.buf, '"')
 }
 
 // ReadLedger loads an audit ledger from a JSONL stream, in order. Like

@@ -769,7 +769,7 @@ func (c *Center) RunDayContext(ctx context.Context, day int) (*DayRecord, error)
 	// apply path on every replica — while a standalone center appends
 	// directly to its ledger.
 	if c.cfg.onSettle != nil {
-		raw, err := json.Marshal(entry)
+		raw, err := entry.AppendJSON(nil)
 		if err != nil {
 			return nil, fmt.Errorf("netproto: encode ledger entry: %w", err)
 		}

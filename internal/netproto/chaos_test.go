@@ -78,26 +78,22 @@ func runChaosDays(t *testing.T, days int, optsFor func(i int) []Option) []byte {
 	return buf.Bytes()
 }
 
-// TestChaosPermanentlyDarkAgentSettlesAsDefector is the tentpole
-// acceptance test: a settlement day with one agent that reports a
-// preference and then goes permanently dark must complete, bill the
-// dark household via the Eq. 5 defector path from its journaled report,
-// and keep the Theorem 1 budget residual at zero — with the
-// substitution recorded in the audit ledger and the entry passing a
-// full equation audit.
-func TestChaosPermanentlyDarkAgentSettlesAsDefector(t *testing.T) {
-	var buf bytes.Buffer
-	c := chaosCenter(t, &buf, WithPhaseDeadline(300*time.Millisecond))
+// startDarkAgentCenter starts a chaos center writing its ledger to buf
+// with two truthful agents and a raw household 2 that answers the
+// preference request and then falls silent: dark past the consumption
+// deadline, so day 1 settles it via the imputed-defector path. It
+// returns once all three are registered, with household 2's report.
+func startDarkAgentCenter(t *testing.T, buf *bytes.Buffer) (*Center, core.Preference) {
+	t.Helper()
+	c := chaosCenter(t, buf, WithPhaseDeadline(300*time.Millisecond))
 
 	for i, typ := range traceTestTypes[:2] {
 		a, err := Connect(context.Background(), c.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer a.Close()
+		t.Cleanup(func() { a.Close() })
 	}
-	// Household 2 answers the preference request and then falls silent:
-	// dark past the consumption deadline.
 	darkPref := core.MustPreference(18, 23, 2)
 	conn := rawDial(t, c.Addr())
 	if err := WriteMessage(conn, &Message{Kind: KindHello, ID: 2}); err != nil {
@@ -121,6 +117,19 @@ func TestChaosPermanentlyDarkAgentSettlesAsDefector(t *testing.T) {
 	if err := c.WaitForAgentsContext(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
+	return c, darkPref
+}
+
+// TestChaosPermanentlyDarkAgentSettlesAsDefector is the tentpole
+// acceptance test: a settlement day with one agent that reports a
+// preference and then goes permanently dark must complete, bill the
+// dark household via the Eq. 5 defector path from its journaled report,
+// and keep the Theorem 1 budget residual at zero — with the
+// substitution recorded in the audit ledger and the entry passing a
+// full equation audit.
+func TestChaosPermanentlyDarkAgentSettlesAsDefector(t *testing.T) {
+	var buf bytes.Buffer
+	c, darkPref := startDarkAgentCenter(t, &buf)
 
 	record, err := c.RunDayContext(context.Background(), 1)
 	if err != nil {

@@ -90,6 +90,21 @@ type shardState struct {
 	// padded so federation sources sort in shard-index order).
 	src string
 	reg *obs.Registry
+
+	// ledgerBuf is reused day to day to encode the shard's ledger line;
+	// the journal copies what it keeps.
+	ledgerBuf []byte
+}
+
+// encodeLedger encodes the shard's audit-ledger entry into ledgerBuf.
+// The returned line aliases ledgerBuf until the next encode.
+func (st *shardState) encodeLedger(e *mechanism.LedgerEntry) ([]byte, error) {
+	line, err := e.AppendJSON(st.ledgerBuf[:0])
+	st.ledgerBuf = line
+	if err != nil {
+		return nil, encodeRecordErr(err)
+	}
+	return line, nil
 }
 
 // Cluster is the sharded multi-neighborhood settlement service: it
@@ -396,13 +411,23 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 	// and starve sibling shards); failures are recorded in the slot.
 	// Per-shard wall-clock lands in a side slot, never in the ShardDay —
 	// its JSON stays bit-identical across worker counts.
+	// With a ledger configured, each shard also encodes its audit-ledger
+	// line in its own slot, so the serial merge only writes finished
+	// bytes; an encode failure waits in the slot for the merge to
+	// report it at the shard's position.
+	ledger := c.center.Ledger
 	days := make([]ShardDay, len(shards))
-	entries := make([]*mechanism.LedgerEntry, len(shards))
+	lines := make([][]byte, len(shards))
+	lineErrs := make([]error, len(shards))
 	latMS := make([]float64, len(shards))
 	_ = c.engine.ForEach(len(shards), func(s int) error {
 		t0 := time.Now()
-		days[s], entries[s] = c.runShardDay(shards[s], s, day)
+		var entry *mechanism.LedgerEntry
+		days[s], entry = c.runShardDay(shards[s], s, day)
 		latMS[s] = float64(time.Since(t0).Nanoseconds()) / 1e6
+		if ledger != nil && entry != nil {
+			lines[s], lineErrs[s] = shards[s].encodeLedger(entry)
+		}
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -428,8 +453,11 @@ func (c *Cluster) ClusterDay(ctx context.Context, day int) (*ClusterDayRecord, e
 		if d.Peak > rec.Peak {
 			rec.Peak = d.Peak
 		}
-		if c.center.Ledger != nil && entries[s] != nil {
-			if err := c.center.Ledger.AppendValue(entries[s]); err != nil {
+		if err := lineErrs[s]; err != nil {
+			return nil, fmt.Errorf("netproto: audit ledger: %w", err)
+		}
+		if lines[s] != nil {
+			if err := ledger.appendLine(lines[s]); err != nil {
 				return nil, fmt.Errorf("netproto: audit ledger: %w", err)
 			}
 		}

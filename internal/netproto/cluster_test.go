@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"enki/internal/core"
@@ -379,3 +381,38 @@ func TestClusterEmptyAndErrorPaths(t *testing.T) {
 // defaultTestPricer returns the pricer defaultOptions uses, for tests
 // that need a matching reference computation.
 func defaultTestPricer() pricing.Pricer { return defaultOptions().center.Pricer }
+
+// TestClusterLedgerMergeWrites: the merge writes each shard's line in
+// one Write, in shard-index order, and a failing ledger writer fails
+// the day at that shard with the lines before it already written.
+func TestClusterLedgerMergeWrites(t *testing.T) {
+	run := func(w io.Writer) error {
+		cluster := buildCluster(t, 40, WithShards(4), WithWorkers(4), WithTraceSeed(7), WithLedger(NewJournal(w)))
+		_, err := cluster.ClusterDay(context.Background(), 1)
+		return err
+	}
+	all := &lineWriter{ok: 100}
+	if err := run(all); err != nil {
+		t.Fatal(err)
+	}
+	if len(all.writes) != 4 {
+		t.Fatalf("%d ledger writes for 4 shards", len(all.writes))
+	}
+	checkOneLinePerWrite(t, all.writes)
+
+	for ok := 0; ok < 4; ok++ {
+		w := &lineWriter{ok: ok}
+		err := run(w)
+		if err == nil || !strings.HasPrefix(err.Error(), "netproto: audit ledger: ") || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("writer failing after %d lines: error %v, want a netproto: audit ledger: error", ok, err)
+		}
+		if len(w.writes) != ok {
+			t.Fatalf("writer failing after %d lines got %d", ok, len(w.writes))
+		}
+		for i := range w.writes {
+			if !bytes.Equal(w.writes[i], all.writes[i]) {
+				t.Errorf("writer failing after %d lines: line %d differs from the full run", ok, i)
+			}
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"enki/internal/obs"
 )
@@ -73,12 +75,12 @@ func WriteBatch(w io.Writer, c Codec, msgs []*Message) error {
 // series (so dashboards sum both framings), plus the frame count, the
 // messages-per-frame histogram, and per-codec byte volume.
 func observeBatch(direction string, c Codec, msgs, wireBytes int) {
-	reg := obs.Default()
-	reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction).Add(uint64(msgs))
-	reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction).Add(uint64(wireBytes))
-	reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction).Inc()
-	reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets).Observe(float64(msgs))
-	reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, c.Name(), obs.LabelDirection, direction).Add(uint64(wireBytes))
+	m := wireMetricsFor(direction, c.Name())
+	m.messages.Add(uint64(msgs))
+	m.bytes.Add(uint64(wireBytes))
+	m.frames.Inc()
+	m.frameMessages.Observe(float64(msgs))
+	m.codecBytes.Add(uint64(wireBytes))
 	if rec := obs.DefaultRecorder(); rec.Enabled() {
 		rec.Record(obs.Event{
 			Kind:   obs.EventWireFrame,
@@ -89,6 +91,66 @@ func observeBatch(direction string, c Codec, msgs, wireBytes int) {
 			Bytes:  wireBytes,
 		})
 	}
+}
+
+// wireMetrics holds the series one batch frame updates, resolved for one
+// (direction, codec) pair. Resolving them through the registry builds
+// label-qualified key strings, which per frame cost more than the frame
+// counting itself.
+type wireMetrics struct {
+	messages, bytes, frames, codecBytes *obs.Counter
+	frameMessages                       *obs.Histogram
+}
+
+type wireMetricsKey struct{ direction, codec string }
+
+// wireMetricsTable is an immutable set of resolved handles for one
+// registry generation. Readers load it without locking; writers replace
+// it under wireMetricsMu, and a registry Reset (a new generation)
+// starts a fresh table.
+type wireMetricsTable struct {
+	gen     uint64
+	handles map[wireMetricsKey]*wireMetrics
+}
+
+var (
+	wireMetricsMu  sync.Mutex
+	wireMetricsTab atomic.Pointer[wireMetricsTable]
+)
+
+// wireMetricsFor returns the cached handles for a (direction, codec)
+// pair, as sched's allocMetrics does for schedulers. Directions and
+// codec names are constants, so the lookup does not allocate.
+func wireMetricsFor(direction, codec string) *wireMetrics {
+	reg := obs.Default()
+	gen := reg.Generation()
+	key := wireMetricsKey{direction, codec}
+	if t := wireMetricsTab.Load(); t != nil && t.gen == gen {
+		if m := t.handles[key]; m != nil {
+			return m
+		}
+	}
+	// A miss resolves the handles (the registry hands every caller the
+	// same ones) and publishes a copy of the table with them added.
+	m := &wireMetrics{
+		messages:      reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, direction),
+		bytes:         reg.Counter(obs.MetricNetBytesTotal, obs.LabelDirection, direction),
+		frames:        reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction),
+		frameMessages: reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets),
+		codecBytes:    reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, codec, obs.LabelDirection, direction),
+	}
+	wireMetricsMu.Lock()
+	defer wireMetricsMu.Unlock()
+	next := &wireMetricsTable{gen: gen, handles: map[wireMetricsKey]*wireMetrics{key: m}}
+	if t := wireMetricsTab.Load(); t != nil && t.gen == gen {
+		for k, v := range t.handles {
+			if k != key {
+				next.handles[k] = v
+			}
+		}
+	}
+	wireMetricsTab.Store(next)
+	return m
 }
 
 // DecodeBatch parses one batch frame payload (everything after the u32

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"enki/internal/mechanism"
 	"enki/internal/obs"
 )
 
@@ -34,21 +35,47 @@ func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 // AppendValue writes any JSON-marshalable record as one line. Day
 // settlements (Append) and the mechanism audit ledger share this path,
 // so both histories get the same serialization, locking, and
-// crash-recovery semantics.
+// crash-recovery semantics. A *mechanism.LedgerEntry (or a value) is
+// encoded by its reflection-free AppendJSON, which yields json.Marshal's
+// bytes.
 func (j *Journal) AppendValue(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("netproto: encode journal record: %w", err)
+	var data []byte
+	var err error
+	switch rec := v.(type) {
+	case *mechanism.LedgerEntry:
+		data, err = rec.AppendJSON(nil)
+	case mechanism.LedgerEntry:
+		data, err = rec.AppendJSON(nil)
+	default:
+		data, err = json.Marshal(v)
 	}
+	if err != nil {
+		return encodeRecordErr(err)
+	}
+	return j.appendLine(data)
+}
+
+// encodeRecordErr wraps a record that failed to encode.
+func encodeRecordErr(err error) error {
+	return fmt.Errorf("netproto: encode journal record: %w", err)
+}
+
+// appendLine writes one encoded record and its newline in a single
+// Write. It copies data first — the tail ring keeps that copy — so the
+// caller may reuse its buffer as soon as appendLine returns.
+func (j *Journal) appendLine(data []byte) error {
+	line := make([]byte, len(data)+1)
+	copy(line, data)
+	line[len(data)] = '\n'
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(data, '\n')); err != nil {
+	if _, err := j.w.Write(line); err != nil {
 		return fmt.Errorf("netproto: append journal record: %w", err)
 	}
 	if j.tail == nil {
 		j.tail = make([]json.RawMessage, journalTailCap)
 	}
-	j.tail[j.next] = json.RawMessage(data)
+	j.tail[j.next] = json.RawMessage(line[:len(data):len(data)])
 	j.next = (j.next + 1) % journalTailCap
 	if j.len < journalTailCap {
 		j.len++

@@ -2,12 +2,16 @@ package netproto
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"enki/internal/core"
+	"enki/internal/mechanism"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -163,5 +167,96 @@ func TestReadJournalTruncatedTail(t *testing.T) {
 		if rep.Days != 2 || len(rep.ByID) != 2 {
 			t.Errorf("tail %q: replay summary %+v malformed", tail, rep)
 		}
+	}
+}
+
+// lineWriter records every Write call and fails every call after the
+// first ok ones.
+type lineWriter struct {
+	ok     int
+	writes [][]byte
+}
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	if len(w.writes) >= w.ok {
+		return 0, errors.New("disk full")
+	}
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// checkOneLinePerWrite requires every Write to carry exactly one
+// complete line.
+func checkOneLinePerWrite(t *testing.T, writes [][]byte) {
+	t.Helper()
+	for i, w := range writes {
+		if bytes.IndexByte(w, '\n') != len(w)-1 {
+			t.Errorf("write %d is not exactly one newline-terminated line: %q", i, w)
+		}
+	}
+}
+
+func TestJournalLedgerEntryOneWritePerLine(t *testing.T) {
+	w := &lineWriter{ok: 10}
+	j := NewJournal(w)
+	entry := mechanism.LedgerEntry{Schema: 1, TraceID: "t", Day: 1, Households: []mechanism.LedgerHousehold{{ID: 3, Payment: 1.5}}}
+	if err := j.AppendValue(&entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendValue(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.appendLine([]byte(`{"day":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 3 {
+		t.Fatalf("%d writes for 3 lines", len(w.writes))
+	}
+	checkOneLinePerWrite(t, w.writes)
+	want, _ := json.Marshal(entry)
+	for i := 0; i < 2; i++ {
+		if got := w.writes[i]; !bytes.Equal(got[:len(got)-1], want) {
+			t.Errorf("line %d = %s, want json.Marshal's %s", i, got, want)
+		}
+	}
+}
+
+func TestJournalNonFiniteEntryWritesNothing(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := &lineWriter{ok: 10}
+		j := NewJournal(w)
+		entry := &mechanism.LedgerEntry{Schema: 1, Households: []mechanism.LedgerHousehold{{ID: 1, Payment: 2}, {ID: 2, Payment: bad}}}
+		err := j.AppendValue(entry)
+		if err == nil || !strings.Contains(err.Error(), "netproto: encode journal record: json: unsupported value") {
+			t.Errorf("payment %v: error %v, want json.Marshal's unsupported-value error", bad, err)
+		}
+		if len(w.writes) != 0 || len(j.LedgerTail(1)) != 0 {
+			t.Errorf("payment %v: %d writes, tail %d; want nothing recorded", bad, len(w.writes), len(j.LedgerTail(1)))
+		}
+
+		var st shardState
+		line, err := st.encodeLedger(entry)
+		if err == nil || line != nil {
+			t.Errorf("payment %v: shard encode returned %q, %v; want no line and an error", bad, line, err)
+		}
+	}
+}
+
+func TestJournalTailOwnsItsLines(t *testing.T) {
+	j := NewJournal(io.Discard)
+	buf := []byte(`{"day":1}`)
+	if err := j.appendLine(buf); err != nil {
+		t.Fatal(err)
+	}
+	// A shard reuses its encode buffer for the next day's line.
+	copy(buf, `{"day":9}`)
+	tail := j.LedgerTail(1)
+	if len(tail) != 1 || string(tail[0]) != `{"day":1}` {
+		t.Fatalf("tail = %q, want the line as appended", tail)
+	}
+	// Appending to a tail line must not write into the journal's copy.
+	_ = append(tail[0], '!')
+	if got := j.LedgerTail(1)[0]; string(got) != `{"day":1}` {
+		t.Errorf("tail changed to %q by a caller's append", got)
 	}
 }

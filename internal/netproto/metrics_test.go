@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,5 +94,62 @@ func TestMetricsScrapeAfterDayCycle(t *testing.T) {
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("GET /healthz: status %d", hresp.StatusCode)
+	}
+}
+
+// TestObserveBatchCachedHandles: counting a frame costs no allocation
+// once its (direction, codec) handles are resolved, and the cached
+// handles follow the registry across a Reset.
+func TestObserveBatchCachedHandles(t *testing.T) {
+	c, _ := LookupCodec(CodecBinary)
+	reg := obs.Default()
+	reg.Reset()
+	observeBatch(obs.DirectionSent, c, 3, 100)
+	if allocs := testing.AllocsPerRun(100, func() { observeBatch(obs.DirectionSent, c, 3, 100) }); allocs != 0 {
+		t.Errorf("observeBatch allocates %.1f times per frame, want 0", allocs)
+	}
+	frames := func(direction string) uint64 {
+		return reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, direction).Value()
+	}
+	codecBytes := reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, CodecBinary, obs.LabelDirection, obs.DirectionSent).Value()
+	const sent = 1 + 1 + 100 // the first frame, AllocsPerRun's warm-up call, its 100 runs
+	if got := frames(obs.DirectionSent); got != sent {
+		t.Errorf("sent frames = %d, want %d", got, sent)
+	}
+	if codecBytes != sent*100 {
+		t.Errorf("binary sent bytes = %d, want %d", codecBytes, sent*100)
+	}
+
+	reg.Reset()
+	observeBatch(obs.DirectionSent, c, 2, 40)
+	observeBatch(obs.DirectionReceived, c, 5, 70)
+	if got := frames(obs.DirectionSent); got != 1 {
+		t.Errorf("sent frames after Reset = %d, want 1 (handles still point at the old registry?)", got)
+	}
+	if got := reg.Counter(obs.MetricNetMessagesTotal, obs.LabelDirection, obs.DirectionReceived).Value(); got != 5 {
+		t.Errorf("received messages after Reset = %d, want 5", got)
+	}
+	if got := reg.Histogram(obs.MetricNetFrameMessages, obs.BatchBuckets).Count(); got != 2 {
+		t.Errorf("frame-messages observations after Reset = %d, want 2", got)
+	}
+
+	// Shard workers count frames concurrently, each pair's first frame
+	// racing to publish the table.
+	reg.Reset()
+	jsonCodec, _ := LookupCodec(CodecJSON)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			codec := []Codec{c, jsonCodec}[g%2]
+			for i := 0; i < 100; i++ {
+				observeBatch(obs.DirectionReceived, codec, 1, 10)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := frames(obs.DirectionReceived); got != 800 {
+		t.Errorf("received frames from 8 concurrent workers = %d, want 800", got)
 	}
 }

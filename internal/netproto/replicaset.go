@@ -277,7 +277,7 @@ func (n *replicaNode) applyLocal(newly []replica.Entry) {
 		if err := json.Unmarshal(e.Data, &p); err != nil || p.Ledger == nil {
 			continue
 		}
-		_ = n.ledger.AppendValue(p.Ledger)
+		_ = n.ledger.appendLine(p.Ledger)
 	}
 }
 
@@ -445,7 +445,7 @@ func (rs *ReplicaSet) applyCommitted(leader *replicaNode, newly []replica.Entry)
 		}
 		rs.mu.Unlock()
 		if first && rs.merged != nil && p.Ledger != nil {
-			_ = rs.merged.AppendValue(p.Ledger)
+			_ = rs.merged.appendLine(p.Ledger)
 		}
 	}
 }
