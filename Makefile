@@ -75,8 +75,9 @@ bench-net-check:
 # the leader in every settlement phase including between ledger append
 # and commit), the journal and ledger-merge edge cases under the race
 # detector, plus short fuzz passes over the wire codec, which is the
-# surface every injected fault ultimately exercises, and over the
-# ledger encoder against encoding/json.
+# surface every injected fault ultimately exercises (including the
+# cluster's arena decoder against DecodeBatch), and over the ledger
+# encoder against encoding/json.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
@@ -84,7 +85,8 @@ chaos:
 	$(GO) test ./internal/netproto -race -count=4 -run 'Journal|ClusterLedgerMerge|GoldenLedger'
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
-	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
+	$(GO) test ./internal/netproto -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s
+	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatchArena -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
 	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerAppendJSON -fuzztime 10s
 

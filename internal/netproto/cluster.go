@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -570,22 +569,30 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		return out, nil
 	}
 
+	// Every message of the day is carved from a pooled scratch: each
+	// phase builds its outgoing batch in the send arena, and transfer
+	// decodes what arrives into the receive arena (see shardLink).
+	sc := shardScratchPool.Get().(*shardScratch)
+	defer shardScratchPool.Put(sc)
+	send := &sc.send
+
 	// Phase 1: requests out, preferences back. Loss on either leg makes
 	// the household absent for the day.
-	requests := make([]*Message, len(st.members))
-	for i, m := range st.members {
-		requests[i] = &Message{Kind: KindRequest, ID: m.id, Day: day}
+	send.reset()
+	for _, m := range st.members {
+		send.add(KindRequest, m.id, day)
 	}
-	delivered, err := st.link.transfer(requests)
+	delivered, err := st.link.transfer(sc, send.view)
 	if err != nil {
 		return fail(err)
 	}
-	prefMsgs := make([]*Message, 0, len(delivered))
+	send.reset()
 	forEachDelivered(st.members, delivered, func(m clusterMember, _ *Message) {
-		pref := m.policy.Report(day)
-		prefMsgs = append(prefMsgs, &Message{Kind: KindPreference, ID: m.id, Day: day, Pref: &pref})
+		msg := send.add(KindPreference, m.id, day)
+		msg.Pref = send.pref()
+		*msg.Pref = m.policy.Report(day)
 	})
-	delivered, err = st.link.transfer(prefMsgs)
+	delivered, err = st.link.transfer(sc, send.view)
 	if err != nil {
 		return fail(err)
 	}
@@ -612,23 +619,25 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	// puts the household on the imputed-defector path.
 	reporting := make([]clusterMember, len(reports))
 	memberAt := memberIndexer(st.members)
-	allocMsgs := make([]*Message, len(reports))
+	send.reset()
 	for i := range reports {
 		reporting[i] = st.members[memberAt(reports[i].ID)]
-		iv := assignments[i].Interval
-		allocMsgs[i] = &Message{Kind: KindAllocation, ID: reports[i].ID, Day: day, Interval: &iv}
+		msg := send.add(KindAllocation, reports[i].ID, day)
+		msg.Interval = send.interval()
+		*msg.Interval = assignments[i].Interval
 	}
-	delivered, err = st.link.transfer(allocMsgs)
+	delivered, err = st.link.transfer(sc, send.view)
 	if err != nil {
 		return fail(err)
 	}
-	consMsgs := make([]*Message, 0, len(delivered))
+	send.reset()
 	reportAt := reportIndexer(reports)
 	forEachDelivered(reporting, delivered, func(m clusterMember, msg *Message) {
-		iv := m.policy.Consume(day, *msg.Interval)
-		consMsgs = append(consMsgs, &Message{Kind: KindConsumption, ID: m.id, Day: day, Interval: &iv})
+		reply := send.add(KindConsumption, m.id, day)
+		reply.Interval = send.interval()
+		*reply.Interval = m.policy.Consume(day, *msg.Interval)
 	})
-	delivered, err = st.link.transfer(consMsgs)
+	delivered, err = st.link.transfer(sc, send.view)
 	if err != nil {
 		return fail(err)
 	}
@@ -677,16 +686,18 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 	for _, p := range record.Payments {
 		revenue += p
 	}
-	payMsgs := make([]*Message, len(reports), len(reports)+1)
+	send.reset()
 	for i := range reports {
-		payMsgs[i] = &Message{Kind: KindPayment, ID: reports[i].ID, Day: day, Payment: &PaymentDetail{
+		msg := send.add(KindPayment, reports[i].ID, day)
+		msg.Payment = send.payment()
+		*msg.Payment = PaymentDetail{
 			Amount:      record.Payments[i],
 			Flexibility: record.Flexibility[i],
 			Defection:   record.Defection[i],
 			SocialCost:  record.SocialCost[i],
 			TotalCost:   record.Cost,
 			PeakLoad:    record.Peak,
-		}}
+		}
 	}
 	if st.reg != nil {
 		st.reg.Counter(obs.MetricClusterShardsSettled).Inc()
@@ -700,10 +711,10 @@ func (c *Cluster) runShardDay(st *shardState, shard, day int) (ShardDay, *mechan
 		st.reg.Gauge(obs.MetricMechTheorem1Deviation).Set(revenue - c.center.Mechanism.Xi*record.Cost)
 		st.reg.Histogram(obs.MetricClusterShardSettleMS, obs.LatencyBucketsMS).
 			ObserveExemplar(float64(time.Since(start).Nanoseconds())/1e6, tid)
-		payMsgs = append(payMsgs, &Message{Kind: KindMetricsReport, Day: day,
-			Metrics: &obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}})
+		send.add(KindMetricsReport, 0, day).Metrics =
+			&obs.MetricsReport{Source: st.src, Snapshot: st.reg.Snapshot()}
 	}
-	delivered, err = st.link.transfer(payMsgs)
+	delivered, err = st.link.transfer(sc, send.view)
 	if err != nil {
 		return fail(err)
 	}
@@ -841,20 +852,34 @@ func reportIndexer(reports []core.Report) func(core.HouseholdID) int {
 	}
 }
 
+// shardScratch is one shard-day's message-path memory: the frame buffer
+// batches are encoded into, the batch slice, the arena outgoing
+// messages are built in and the arena incoming frames decode into.
+// runShardDay takes one from shardScratchPool and returns it when the
+// day ends, so only about one per worker stays resident — shards never
+// keep their own (at a million households in 1024 shards that would pin
+// hundreds of megabytes between days).
+type shardScratch struct {
+	frame      []byte
+	batch      []*Message
+	send, recv msgArena
+}
+
+var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
+
 // shardLink is the in-process stand-in for a shard's wire: every
-// message batch is encoded into a real batch frame (AppendBatch) and
-// decoded back out (ReadBatch), so frame counts, messages-per-frame,
-// and per-codec byte volumes in the wire metrics are honest — the
-// cluster measures the same framing a TCP connection would carry, minus
-// the socket.
+// message batch is encoded into a real batch frame (AppendBatch, into
+// the scratch's reused frame buffer) and decoded straight back out of
+// that buffer into the scratch's receive arena, so frame counts,
+// messages-per-frame and per-codec byte volumes in the wire metrics are
+// the ones a TCP connection would record for the same frames — minus
+// the socket and the copies.
 type shardLink struct {
-	shard    int
-	codec    Codec
-	batch    int
-	plan     *FaultPlan
-	next     int // fault-plan message index, cumulative across days
-	buf      bytes.Buffer
-	batchBuf []*Message
+	shard int
+	codec Codec
+	batch int
+	plan  *FaultPlan
+	next  int // fault-plan message index, cumulative across days
 }
 
 // transfer carries msgs across the link in batches of up to batch
@@ -865,14 +890,21 @@ type shardLink struct {
 // carrying the message — the receiver's decode fails and every message
 // in that frame is lost, the batched analogue of a garbled TCP frame
 // killing a connection. Only encode bugs return an error.
-func (l *shardLink) transfer(msgs []*Message) ([]*Message, error) {
-	out := make([]*Message, 0, len(msgs))
+//
+// Lifetime: the returned messages, and the payloads they point at,
+// live in sc's receive arena until the next transfer with sc, which
+// overwrites them. Callers copy what they keep (the cluster takes
+// preferences, intervals and payments by value); a decoded metrics
+// report is a fresh allocation and may be kept.
+func (l *shardLink) transfer(sc *shardScratch, msgs []*Message) ([]*Message, error) {
+	recv := &sc.recv
+	recv.reset()
 	for start := 0; start < len(msgs); start += l.batch {
 		end := start + l.batch
 		if end > len(msgs) {
 			end = len(msgs)
 		}
-		batch := l.batchBuf[:0]
+		batch := sc.batch[:0]
 		garbled := false
 		for _, m := range msgs[start:end] {
 			action := l.plan.ActionAt(l.next)
@@ -900,28 +932,31 @@ func (l *shardLink) transfer(msgs []*Message) ([]*Message, error) {
 				batch = append(batch, m)
 			}
 		}
-		l.batchBuf = batch
+		sc.batch = batch
 		if len(batch) == 0 {
 			continue
 		}
-		l.buf.Reset()
-		if err := WriteBatch(&l.buf, l.codec, batch); err != nil {
+		frame, err := AppendBatch(sc.frame[:0], l.codec, batch)
+		if err != nil {
 			return nil, err
 		}
+		sc.frame = frame
+		observeBatch(obs.DirectionSent, l.codec, len(batch), len(frame))
 		if garbled {
-			payload := l.buf.Bytes()[4:]
+			payload := frame[4:]
 			for i := range payload {
 				payload[i] ^= 0x5a
 			}
 		}
-		got, err := ReadBatch(&l.buf)
+		got, c, err := decodeBatch(recv.view, frame[4:], recv)
 		if err != nil {
 			if garbled {
 				continue // the corrupted frame is lost in its entirety
 			}
 			return nil, err
 		}
-		out = append(out, got...)
+		observeBatch(obs.DirectionReceived, c, len(got)-len(recv.view), len(frame))
+		recv.view = got
 	}
-	return out, nil
+	return recv.view, nil
 }

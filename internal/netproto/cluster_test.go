@@ -416,3 +416,28 @@ func TestClusterLedgerMergeWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterDaySteadyStateAllocs gates the shard link's allocation
+// contract: once the pooled scratch has grown to the shards' size, a
+// binary-codec day with the audit ledger on allocates per shard, not
+// per message. The bound — under one allocation per household —
+// leaves room for the scratch the pool drops under the race detector.
+func TestClusterDaySteadyStateAllocs(t *testing.T) {
+	const households, shards = 2000, 16
+	for _, workers := range []int{1, 4} {
+		cluster := buildCluster(t, households, WithShards(shards), WithWorkers(workers),
+			WithCodec(CodecBinary), WithShardRecords(false), WithLedger(NewJournal(io.Discard)))
+		day := 0
+		run := func() {
+			day++
+			if _, err := cluster.ClusterDay(context.Background(), day); err != nil {
+				t.Fatalf("day %d: %v", day, err)
+			}
+		}
+		run() // grow the pooled scratch
+		if allocs := testing.AllocsPerRun(5, run); allocs >= households {
+			t.Errorf("workers %d: %.0f allocs per day for %d households, want fewer than one per household",
+				workers, allocs, households)
+		}
+	}
+}

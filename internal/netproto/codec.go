@@ -17,9 +17,9 @@ import (
 // negotiation fallback) and CodecBinary (a compact fixed-layout binary
 // encoding, roughly 4× smaller and an order of magnitude cheaper to
 // encode). A codec must be a pure bijection on the Message fields it
-// carries: Decode(Append(nil, m)) == m for every encodable m, which the
-// cross-codec differential fuzz (FuzzCodecDifferential) enforces
-// against the JSON reference.
+// carries: decoding Append(nil, m) yields m for every encodable m,
+// which the cross-codec differential fuzz (FuzzCodecDifferential)
+// enforces against the JSON reference.
 type Codec interface {
 	// Name is the codec's negotiation token ("json", "binary").
 	Name() string
@@ -27,8 +27,11 @@ type Codec interface {
 	ID() byte
 	// Append appends m's encoding to dst and returns the extended slice.
 	Append(dst []byte, m *Message) ([]byte, error)
-	// Decode parses one message. It must not retain data.
-	Decode(data []byte) (*Message, error)
+	// Decode parses one message into m, which the caller hands over
+	// zeroed. Fixed-size payloads (preference, interval, payment) are
+	// carved from a, or freshly allocated when a is nil. It must not
+	// retain data.
+	Decode(data []byte, m *Message, a *msgArena) error
 }
 
 // Codec names understood by this build. Negotiation tokens, WithCodec
@@ -109,12 +112,11 @@ func (jsonCodec) Append(dst []byte, m *Message) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-func (jsonCodec) Decode(data []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("netproto: decode frame: %w", err)
+func (jsonCodec) Decode(data []byte, m *Message, _ *msgArena) error {
+	if err := json.Unmarshal(data, m); err != nil {
+		return fmt.Errorf("netproto: decode frame: %w", err)
 	}
-	return &m, nil
+	return nil
 }
 
 // binaryCodec is the compact codec: a fixed field order with a presence
@@ -352,9 +354,8 @@ func (r *binReader) float64() float64 {
 	return f
 }
 
-func (binaryCodec) Decode(data []byte) (*Message, error) {
+func (binaryCodec) Decode(data []byte, m *Message, a *msgArena) error {
 	r := &binReader{data: data}
-	var m Message
 	code := r.byte()
 	switch {
 	case code == 0:
@@ -362,7 +363,7 @@ func (binaryCodec) Decode(data []byte) (*Message, error) {
 	case int(code) <= len(wireKinds):
 		m.Kind = wireKinds[code-1]
 	default:
-		return nil, fmt.Errorf("netproto: decode frame: unknown kind code %d", code)
+		return fmt.Errorf("netproto: decode frame: unknown kind code %d", code)
 	}
 	m.ID = core.HouseholdID(r.varint())
 	m.Day = int(r.varint())
@@ -374,16 +375,19 @@ func (binaryCodec) Decode(data []byte) (*Message, error) {
 		m.Token = r.string()
 	}
 	if mask&binPref != 0 {
-		m.Pref = &core.Preference{
+		m.Pref = a.pref()
+		*m.Pref = core.Preference{
 			Window:   core.Interval{Begin: int(r.varint()), End: int(r.varint())},
 			Duration: int(r.varint()),
 		}
 	}
 	if mask&binInterval != 0 {
-		m.Interval = &core.Interval{Begin: int(r.varint()), End: int(r.varint())}
+		m.Interval = a.interval()
+		*m.Interval = core.Interval{Begin: int(r.varint()), End: int(r.varint())}
 	}
 	if mask&binPayment != 0 {
-		m.Payment = &PaymentDetail{
+		m.Payment = a.payment()
+		*m.Payment = PaymentDetail{
 			Amount:      r.float64(),
 			Flexibility: r.float64(),
 			Defection:   r.float64(),
@@ -415,17 +419,17 @@ func (binaryCodec) Decode(data []byte) (*Message, error) {
 		if r.err == nil {
 			m.Metrics = &obs.MetricsReport{}
 			if err := json.Unmarshal([]byte(blob), m.Metrics); err != nil {
-				return nil, fmt.Errorf("netproto: decode metrics report: %w", err)
+				return fmt.Errorf("netproto: decode metrics report: %w", err)
 			}
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(r.data) != 0 {
-		return nil, fmt.Errorf("netproto: decode frame: %d trailing bytes", len(r.data))
+		return fmt.Errorf("netproto: decode frame: %d trailing bytes", len(r.data))
 	}
-	return &m, nil
+	return nil
 }
 
 // selectCodec is the center's half of codec negotiation: the first

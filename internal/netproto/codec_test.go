@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"strings"
@@ -62,7 +63,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s encode %s: %v", name, in.Kind, err)
 			}
-			out, err := c.Decode(enc)
+			out, err := decodeOne(c, enc)
 			if err != nil {
 				t.Fatalf("%s decode %s: %v", name, in.Kind, err)
 			}
@@ -71,6 +72,15 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// decodeOne decodes a single codec payload into a fresh message.
+func decodeOne(c Codec, data []byte) (*Message, error) {
+	m := new(Message)
+	if err := c.Decode(data, m, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // TestBinaryCodecSmallerThanJSON pins the point of the binary codec: a
@@ -363,5 +373,52 @@ func TestNegotiationBinaryEndToEnd(t *testing.T) {
 	}
 	if frames == 0 {
 		t.Error("no batch frames counted after a binary-negotiated day")
+	}
+}
+
+// TestAppendBatchLengthPrefixWidths: AppendBatch encodes each message in
+// place behind a one-byte length prefix and widens it for longer
+// messages. The frame must equal the plain layout (uvarint length, then
+// the codec's bytes) on both sides of every prefix-width boundary, and
+// decode back to its messages.
+func TestAppendBatchLengthPrefixWidths(t *testing.T) {
+	for _, name := range CodecNames() {
+		c, _ := LookupCodec(name)
+		base, err := c.Append(nil, &Message{Kind: KindError})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msgs []*Message
+		for _, size := range []int{1, 127, 128, 129, 16383, 16384, 16385} {
+			// Err adds its length (plus a length byte or two) to base;
+			// probe a few lengths so each boundary is hit exactly.
+			for pad := size - len(base) - 12; pad <= size-len(base); pad++ {
+				if pad >= 0 {
+					msgs = append(msgs, &Message{Kind: KindError, Err: strings.Repeat("e", pad)})
+				}
+			}
+		}
+		want := []byte{0, 0, 0, 0, c.ID()}
+		want = binary.AppendUvarint(want, uint64(len(msgs)))
+		for _, m := range msgs {
+			enc, err := c.Append(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = binary.AppendUvarint(want, uint64(len(enc)))
+			want = append(want, enc...)
+		}
+		binary.BigEndian.PutUint32(want, uint32(len(want)-4))
+		got, err := AppendBatch([]byte("prefix"), c, msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+			t.Fatalf("%s: AppendBatch frame differs from the plain layout", name)
+		}
+		out, err := DecodeBatch(got[len("prefix")+4:])
+		if err != nil || !reflect.DeepEqual(out, msgs) {
+			t.Fatalf("%s: frame does not decode back to its messages: %v", name, err)
+		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"enki/internal/core"
 	"enki/internal/obs"
 )
 
@@ -31,22 +33,34 @@ const DefaultBatchSize = 64
 const frameOverhead = 4 + 1
 
 // AppendBatch encodes msgs into one batch frame appended to dst. It is
-// the allocation-free core of WriteBatch, exposed for benchmarks and
-// the in-process cluster links.
+// the core of WriteBatch, exposed for benchmarks and the in-process
+// cluster links; given a dst with room for the frame it does not
+// allocate (the JSON codec's own marshalling aside).
 func AppendBatch(dst []byte, c Codec, msgs []*Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length backpatched below
 	dst = append(dst, c.ID())
 	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
-	var scratch []byte
 	for _, m := range msgs {
-		enc, err := c.Append(scratch[:0], m)
-		if err != nil {
+		// Encode in place behind a one-byte length prefix, which covers
+		// messages under 128 bytes; a longer message is shifted right to
+		// widen its prefix. Either way no per-message buffer is needed.
+		at := len(dst)
+		dst = append(dst, 0)
+		var err error
+		if dst, err = c.Append(dst, m); err != nil {
 			return nil, err
 		}
-		scratch = enc
-		dst = binary.AppendUvarint(dst, uint64(len(enc)))
-		dst = append(dst, enc...)
+		size := uint64(len(dst) - at - 1)
+		if size < 0x80 {
+			dst[at] = byte(size)
+			continue
+		}
+		var prefix [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(prefix[:], size)
+		dst = append(dst, prefix[1:k]...)
+		copy(dst[at+k:], dst[at+1:len(dst)-(k-1)])
+		copy(dst[at:], prefix[:k])
 	}
 	payload := len(dst) - start - 4
 	if payload > MaxFrameSize {
@@ -154,42 +168,158 @@ func wireMetricsFor(direction, codec string) *wireMetrics {
 }
 
 // DecodeBatch parses one batch frame payload (everything after the u32
-// length header) into messages.
+// length header) into freshly allocated messages.
 func DecodeBatch(payload []byte) ([]*Message, error) {
+	msgs, _, err := decodeBatch(nil, payload, nil)
+	if err != nil {
+		return nil, err
+	}
+	return msgs, nil
+}
+
+// decodeBatch appends the messages of one batch frame payload to dst and
+// returns the frame's codec. With a nil arena every message is freshly
+// allocated (DecodeBatch); with one, messages and their fixed-size
+// payloads are carved from its slabs, and a frame that fails to decode
+// rolls the arena back to where it stood, leaving the messages carved
+// before it intact. On error dst is returned unextended.
+func decodeBatch(dst []*Message, payload []byte, a *msgArena) ([]*Message, Codec, error) {
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("netproto: empty batch frame")
+		return dst, nil, fmt.Errorf("netproto: empty batch frame")
 	}
 	c, ok := lookupCodecID(payload[0])
 	if !ok {
-		return nil, fmt.Errorf("netproto: unknown codec id %d", payload[0])
+		return dst, nil, fmt.Errorf("netproto: unknown codec id %d", payload[0])
 	}
 	rest := payload[1:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("netproto: batch frame missing message count")
+		return dst, nil, fmt.Errorf("netproto: batch frame missing message count")
 	}
 	rest = rest[n:]
 	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(rest))
+		return dst, nil, fmt.Errorf("netproto: batch frame claims %d messages in %d bytes", count, len(rest))
 	}
-	msgs := make([]*Message, 0, count)
+	// With room for the whole frame reserved, no slab changes chunk while
+	// it decodes, so restoring the slab headers rolls a failure back.
+	var saved msgArena
+	if a != nil {
+		a.reserve(int(count))
+		saved = *a
+	}
+	fail := func(err error) ([]*Message, Codec, error) {
+		if a != nil {
+			*a = saved
+		}
+		return dst, nil, err
+	}
+	out := slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		size, n := binary.Uvarint(rest)
 		if n <= 0 || size > uint64(len(rest)-n) {
-			return nil, fmt.Errorf("netproto: batch frame message %d truncated", i)
+			return fail(fmt.Errorf("netproto: batch frame message %d truncated", i))
 		}
 		rest = rest[n:]
-		m, err := c.Decode(rest[:size])
-		if err != nil {
-			return nil, err
+		m := a.message()
+		if err := c.Decode(rest[:size], m, a); err != nil {
+			return fail(err)
 		}
 		rest = rest[size:]
-		msgs = append(msgs, m)
+		out = append(out, m)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("netproto: batch frame has %d trailing bytes", len(rest))
+		return fail(fmt.Errorf("netproto: batch frame has %d trailing bytes", len(rest)))
 	}
-	return msgs, nil
+	return out, c, nil
+}
+
+// msgArena is slab storage for messages: a []Message slab, slabs for the
+// fixed-size payloads a message points at, and a []*Message view its
+// owner lists messages in. The cluster builds outgoing messages in one
+// and decodes incoming frames into another, so once the slabs have
+// grown to a shard's size its day makes no per-message allocation. A
+// full slab starts a larger chunk rather than moving, so a message stays
+// where it was carved until reset. The carving methods the decoders
+// call (message, pref, interval, payment) also work on a nil arena,
+// which allocates each value fresh — DecodeBatch's way through the same
+// decode loop.
+type msgArena struct {
+	msgs  []Message
+	prefs []core.Preference
+	ivs   []core.Interval
+	pays  []PaymentDetail
+	view  []*Message
+}
+
+// reset recycles the slabs and the view: the messages carved so far are
+// overwritten by the next ones.
+func (a *msgArena) reset() {
+	a.msgs, a.prefs, a.ivs, a.pays = a.msgs[:0], a.prefs[:0], a.ivs[:0], a.pays[:0]
+	a.view = a.view[:0]
+}
+
+// reserve makes room for n more values in every slab's current chunk.
+func (a *msgArena) reserve(n int) {
+	a.msgs = reserveSlab(a.msgs, n)
+	a.prefs = reserveSlab(a.prefs, n)
+	a.ivs = reserveSlab(a.ivs, n)
+	a.pays = reserveSlab(a.pays, n)
+}
+
+// message carves a zeroed message.
+func (a *msgArena) message() *Message {
+	if a == nil {
+		return new(Message)
+	}
+	return carve(&a.msgs)
+}
+
+// add carves a message with its header set and lists it in the view.
+func (a *msgArena) add(kind Kind, id core.HouseholdID, day int) *Message {
+	m := carve(&a.msgs)
+	m.Kind, m.ID, m.Day = kind, id, day
+	a.view = append(a.view, m)
+	return m
+}
+
+func (a *msgArena) pref() *core.Preference {
+	if a == nil {
+		return new(core.Preference)
+	}
+	return carve(&a.prefs)
+}
+
+func (a *msgArena) interval() *core.Interval {
+	if a == nil {
+		return new(core.Interval)
+	}
+	return carve(&a.ivs)
+}
+
+func (a *msgArena) payment() *PaymentDetail {
+	if a == nil {
+		return new(PaymentDetail)
+	}
+	return carve(&a.pays)
+}
+
+// reserveSlab returns s, or a fresh empty chunk when s has fewer than n
+// free slots; values already carved from s stay where they are.
+func reserveSlab[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return make([]T, 0, max(2*cap(s), n, 64))
+}
+
+// carve takes the next slot of *s, zeroed.
+func carve[T any](s *[]T) *T {
+	*s = reserveSlab(*s, 1)
+	*s = (*s)[:len(*s)+1]
+	p := &(*s)[len(*s)-1]
+	var zero T
+	*p = zero
+	return p
 }
 
 // ReadBatch reads one batch frame from r and decodes its messages,
@@ -207,12 +337,11 @@ func ReadBatch(r io.Reader) ([]*Message, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("netproto: read payload: %w", err)
 	}
-	msgs, err := DecodeBatch(payload)
+	msgs, c, err := decodeBatch(nil, payload, nil)
 	if err != nil {
 		return nil, err
 	}
 	if len(msgs) > 0 {
-		c, _ := lookupCodecID(payload[0])
 		observeBatch(obs.DirectionReceived, c, len(msgs), int(size)+4)
 	}
 	return msgs, nil

@@ -2,7 +2,10 @@ package netproto
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -57,7 +60,7 @@ func FuzzRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s encode: %v", name, err)
 			}
-			dec, err := c.Decode(enc)
+			dec, err := decodeOne(c, enc)
 			if err != nil {
 				t.Fatalf("%s wrote but could not decode back: %v", name, err)
 			}
@@ -143,11 +146,11 @@ func FuzzCodecDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("json accepted but binary rejected: %v", err)
 		}
-		jd, err := jsonC.Decode(je)
+		jd, err := decodeOne(jsonC, je)
 		if err != nil {
 			t.Fatalf("json decode: %v", err)
 		}
-		bd, err := binC.Decode(be)
+		bd, err := decodeOne(binC, be)
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
@@ -155,4 +158,113 @@ func FuzzCodecDifferential(f *testing.F) {
 			t.Fatalf("codecs disagree:\n json   %+v\n binary %+v", jd, bd)
 		}
 	})
+}
+
+// FuzzDecodeBatchArena is the arena decoder's differential oracle: a
+// frame decoded into a reused, already-dirty arena must equal the same
+// frame through DecodeBatch's fresh allocations — no field may survive
+// from the message that held a slot before — and a frame that fails to
+// decode must roll the arena back and leave the messages decoded before
+// it intact.
+func FuzzDecodeBatchArena(f *testing.F) {
+	dirtyMsg := fullMessage()
+	dirtyMsg.Metrics = &obs.MetricsReport{Source: "shard/0001"}
+	var dirty [][]byte // a frame of fully populated messages per codec
+	for _, name := range CodecNames() {
+		c, _ := LookupCodec(name)
+		frame, err := AppendBatch(nil, c, []*Message{dirtyMsg, dirtyMsg, dirtyMsg, dirtyMsg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		dirty = append(dirty, frame[4:])
+		day, err := AppendBatch(nil, c, benchBatch(10))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(day[4:])
+		garbled := bytes.Clone(day[4:])
+		garbled[len(garbled)/2] ^= 0x5a
+		f.Add(garbled)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 0})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want, wantErr := DecodeBatch(payload)
+		for _, d := range dirty {
+			// Populate every slot the frame can land in, then recycle them.
+			var a msgArena
+			for i := 0; i < 64; i++ {
+				m := a.message()
+				*m = *dirtyMsg
+				*a.pref(), *a.interval(), *a.payment() = *m.Pref, *m.Interval, *m.Payment
+			}
+			a.reset()
+			earlier, _, err := decodeBatch(a.view, d, &a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.view = earlier
+			ref, _ := DecodeBatch(d)
+			fill := func() [4]int { return [4]int{len(a.msgs), len(a.prefs), len(a.ivs), len(a.pays)} }
+			before := fill()
+
+			got, _, err := decodeBatch(a.view, payload, &a)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("arena decode error %v, DecodeBatch error %v", err, wantErr)
+			}
+			if err != nil {
+				// A frame claiming more messages than the chunk holds starts
+				// a fresh chunk, so the fill may drop; it must never grow.
+				after := fill()
+				if len(got) != len(ref) || after[0] > before[0] || after[1] > before[1] ||
+					after[2] > before[2] || after[3] > before[3] {
+					t.Fatalf("failed decode extended the view to %d or kept slots %+v → %+v", len(got), before, after)
+				}
+			} else if len(got) != len(ref)+len(want) || !sameMessages(got[len(ref):], want) {
+				t.Fatalf("arena decode differs from DecodeBatch:\n arena %s\n fresh %s", dump(got[len(ref):]), dump(want))
+			}
+			if !sameMessages(got[:len(ref)], ref) {
+				t.Fatal("decoding a frame changed the messages decoded before it")
+			}
+		}
+	})
+}
+
+// sameMessages is reflect.DeepEqual over message lists, except that
+// payment amounts compare by bits, so NaN payloads equal themselves.
+func sameMessages(a, b []*Message) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := *a[i], *b[i]
+		if (x.Payment == nil) != (y.Payment == nil) {
+			return false
+		}
+		if x.Payment != nil {
+			px, py := *x.Payment, *y.Payment
+			for _, f := range [][2]float64{
+				{px.Amount, py.Amount}, {px.Flexibility, py.Flexibility}, {px.Defection, py.Defection},
+				{px.SocialCost, py.SocialCost}, {px.TotalCost, py.TotalCost}, {px.PeakLoad, py.PeakLoad},
+			} {
+				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+					return false
+				}
+			}
+		}
+		x.Payment, y.Payment = nil, nil
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+func dump(msgs []*Message) string {
+	var b strings.Builder
+	for _, m := range msgs {
+		fmt.Fprintf(&b, "%+v ", *m)
+	}
+	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"enki/internal/mechanism"
@@ -24,9 +25,10 @@ const journalTailCap = obs.MaxLedgerTail
 type Journal struct {
 	mu   sync.Mutex
 	w    io.Writer
-	tail []json.RawMessage // ring of the last journalTailCap lines
-	next int               // ring write position
-	len  int               // lines retained (≤ journalTailCap)
+	line []byte   // write buffer: one record and its newline, reused
+	tail [][]byte // ring of the last journalTailCap lines; slot buffers are reused
+	next int      // ring write position
+	len  int      // lines retained (≤ journalTailCap)
 }
 
 // NewJournal wraps a writer (typically an os.File opened with append).
@@ -61,21 +63,21 @@ func encodeRecordErr(err error) error {
 }
 
 // appendLine writes one encoded record and its newline in a single
-// Write. It copies data first — the tail ring keeps that copy — so the
-// caller may reuse its buffer as soon as appendLine returns.
+// Write. The line is assembled in the journal's reused write buffer and
+// the tail ring copies the record into its slot's own buffer, so the
+// caller may reuse data as soon as appendLine returns, and steady-state
+// appends do not allocate.
 func (j *Journal) appendLine(data []byte) error {
-	line := make([]byte, len(data)+1)
-	copy(line, data)
-	line[len(data)] = '\n'
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(line); err != nil {
+	j.line = append(append(j.line[:0], data...), '\n')
+	if _, err := j.w.Write(j.line); err != nil {
 		return fmt.Errorf("netproto: append journal record: %w", err)
 	}
 	if j.tail == nil {
-		j.tail = make([]json.RawMessage, journalTailCap)
+		j.tail = make([][]byte, journalTailCap)
 	}
-	j.tail[j.next] = json.RawMessage(line[:len(data):len(data)])
+	j.tail[j.next] = append(j.tail[j.next][:0], data...)
 	j.next = (j.next + 1) % journalTailCap
 	if j.len < journalTailCap {
 		j.len++
@@ -86,10 +88,11 @@ func (j *Journal) appendLine(data []byte) error {
 	return nil
 }
 
-// LedgerTail returns the last n journal lines, oldest first, as raw
-// JSON — the obs.LedgerTailer contract behind /api/v1/ledger/tail. At
-// most journalTailCap lines are retained; asking for more returns what
-// the ring holds.
+// LedgerTail returns copies of the last n journal lines, oldest first,
+// as raw JSON — the obs.LedgerTailer contract behind
+// /api/v1/ledger/tail. At most journalTailCap lines are retained; asking
+// for more returns what the ring holds. The copies stay valid however
+// many lines are appended later.
 func (j *Journal) LedgerTail(n int) []json.RawMessage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -105,7 +108,7 @@ func (j *Journal) LedgerTail(n int) []json.RawMessage {
 		start += journalTailCap
 	}
 	for i := 0; i < n; i++ {
-		out[i] = j.tail[(start+i)%journalTailCap]
+		out[i] = slices.Clone(j.tail[(start+i)%journalTailCap])
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -258,5 +259,35 @@ func TestJournalTailOwnsItsLines(t *testing.T) {
 	_ = append(tail[0], '!')
 	if got := j.LedgerTail(1)[0]; string(got) != `{"day":1}` {
 		t.Errorf("tail changed to %q by a caller's append", got)
+	}
+}
+
+// TestJournalTailCopiesSurviveRingReuse: the ring reuses each slot's
+// buffer, so LedgerTail must hand out copies — a retained result stays
+// byte-identical however many lines are appended after it.
+func TestJournalTailCopiesSurviveRingReuse(t *testing.T) {
+	j := NewJournal(io.Discard)
+	for i := 0; i < 3; i++ {
+		if err := j.appendLine([]byte(fmt.Sprintf(`{"day":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := j.LedgerTail(3)
+	want := make([]string, len(held))
+	for i, line := range held {
+		want[i] = string(line)
+	}
+	for i := 0; i < journalTailCap+1; i++ {
+		if err := j.appendLine([]byte(fmt.Sprintf(`{"day":%d,"pad":"xxxxxxxx"}`, 100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, line := range held {
+		if string(line) != want[i] {
+			t.Errorf("retained tail line %d changed to %q, want %q", i, line, want[i])
+		}
+	}
+	if got := j.LedgerTail(1); len(got) != 1 || string(got[0]) != fmt.Sprintf(`{"day":%d,"pad":"xxxxxxxx"}`, 100+journalTailCap) {
+		t.Errorf("latest tail line = %q", got)
 	}
 }
