@@ -45,14 +45,15 @@ bench-check:
 	$(GO) run ./tools/benchjson -o /tmp/bench-check.json /tmp/bench-check.txt
 	$(GO) run ./tools/benchdiff -baseline BENCH_sched.json -current /tmp/bench-check.json -alloc-slack 8
 
-# Wire-path benchmarks: batch-frame encode/decode per codec plus full
-# sharded cluster days on the codec × batch-size axes. The raw log goes
+# Wire-path benchmarks: batch-frame encode/decode per codec, full
+# sharded cluster days on the codec × batch-size axes, and a 3-replica
+# socket day (agent sessions plus quorum rounds). The raw log goes
 # to BENCH_net.txt and tools/benchjson converts it — including the
 # custom frames/op and wireB/op ReportMetric series — into the
 # committed BENCH_net.json baseline.
 bench-net:
 	$(GO) test ./internal/netproto -run '^$$' \
-		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay)' \
+		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|ReplicaDay)' \
 		-benchmem | tee BENCH_net.txt
 	$(GO) run ./tools/benchjson -o BENCH_net.json BENCH_net.txt
 
@@ -63,7 +64,7 @@ bench-net:
 # only trips when batching actually degrades.
 bench-net-check:
 	$(GO) test ./internal/netproto -run '^$$' \
-		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay)' \
+		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|ReplicaDay)' \
 		-benchmem > /tmp/bench-net.txt
 	$(GO) run ./tools/benchjson -o /tmp/bench-net.json /tmp/bench-net.txt
 	$(GO) run ./tools/benchdiff -baseline BENCH_net.json -current /tmp/bench-net.json \
@@ -76,8 +77,9 @@ bench-net-check:
 # and commit), the journal and ledger-merge edge cases under the race
 # detector, plus short fuzz passes over the wire codec, which is the
 # surface every injected fault ultimately exercises (including the
-# cluster's arena decoder against DecodeBatch), and over the ledger
-# encoder against encoding/json.
+# cluster's arena decoder against DecodeBatch), over the ledger
+# encoder against encoding/json, and over the replica peer-frame
+# decoder.
 chaos:
 	$(GO) test ./internal/netproto -count=1 \
 		-run 'Chaos|Fault|Retry|Backoff|Resume|SessionToken|ContextCancel'
@@ -89,6 +91,7 @@ chaos:
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatchArena -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
 	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerAppendJSON -fuzztime 10s
+	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzReplicaMessage -fuzztime 10s
 
 # The allocation-engine acceptance suite: the rewritten greedy and
 # branch-and-bound engines against the retained seed implementations

@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"context"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -132,6 +133,46 @@ func BenchmarkClusterDay(b *testing.B) {
 			b.ReportMetric(float64(counterFamily(obs.MetricNetFramesTotal)-frames0)/float64(b.N), "frames/op")
 			b.ReportMetric(float64(counterFamily(obs.MetricNetCodecBytesTotal)-bytes0)/float64(b.N), "wireB/op")
 		})
+	}
+}
+
+// BenchmarkReplicaDay settles a full day through a 3-replica
+// StartReplicaSet with 50 loopback agents and the merged ledger on:
+// the agent sessions of a socket center plus the quorum rounds that
+// replicate each member, phase and day entry.
+func BenchmarkReplicaDay(b *testing.B) {
+	const households = 50
+	rs, err := StartReplicaSet(context.Background(),
+		WithReplicas(3),
+		WithTraceSeed(7),
+		WithLedger(NewJournal(io.Discard)),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rs.Close()
+	gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < households; i++ {
+		p := gen.Draw()
+		a, err := Connect(context.Background(), rs.Addr(), core.HouseholdID(i), &Truthful{Type: p.TypeWide()},
+			WithDialer(rs.Dialer()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer a.Close()
+	}
+	if err := rs.WaitForAgentsContext(context.Background(), households); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.RunDay(i + 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"enki/internal/core"
 	"enki/internal/mechanism"
 	"enki/internal/obs"
+	"enki/internal/replica"
 )
 
 // replicaRetry is the failover suite's reconnect policy: more patient
@@ -52,8 +56,8 @@ func startReplicaSet(t *testing.T, buf *bytes.Buffer, opts ...Option) *ReplicaSe
 // runReplicaDays connects the fixed truthful neighborhood through the
 // replica set's dialer and settles the given number of days, asserting
 // every day settles clean (no absences, no substitutions) and with a
-// zero Theorem 1 residual.
-func runReplicaDays(t *testing.T, rs *ReplicaSet, days int) {
+// zero Theorem 1 residual. It returns the day records in order.
+func runReplicaDays(t *testing.T, rs *ReplicaSet, days int) []*DayRecord {
 	t.Helper()
 	agents := make([]*Agent, len(traceTestTypes))
 	for i, typ := range traceTestTypes {
@@ -72,11 +76,13 @@ func runReplicaDays(t *testing.T, rs *ReplicaSet, days int) {
 	if err := rs.WaitForAgentsContext(context.Background(), len(agents)); err != nil {
 		t.Fatal(err)
 	}
+	var records []*DayRecord
 	for day := 1; day <= days; day++ {
 		record, err := rs.RunDayContext(context.Background(), day)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
+		records = append(records, record)
 		if record.Substituted != nil || record.Absent != nil {
 			t.Fatalf("day %d settled degraded (substituted %v, absent %v); failover should have resumed every agent",
 				day, record.Substituted, record.Absent)
@@ -89,6 +95,7 @@ func runReplicaDays(t *testing.T, rs *ReplicaSet, days int) {
 			t.Errorf("day %d budget residual %g, want 0", day, residual)
 		}
 	}
+	return records
 }
 
 // auditLedger decodes ledger bytes and runs the full equation audit on
@@ -153,9 +160,13 @@ func TestChaosReplicaFaultFreeMatchesSingleCenter(t *testing.T) {
 // leader's commit — must elect the lowest live replica, resume the day
 // from the replicated journal, and settle every day to the
 // byte-identical merged ledger of a fault-free run, with the surviving
-// replicas' local journals matching too.
+// replicas' local journals matching too. Day 2's committed record,
+// decoded from the log only on redelivery, must equal the fault-free
+// one.
 func TestChaosReplicaLeaderKilledEveryPhase(t *testing.T) {
 	clean := runChaosDays(t, 3, nil)
+	var cleanBuf bytes.Buffer
+	settled := runReplicaDays(t, startReplicaSet(t, &cleanBuf), 3)
 
 	points := []string{"preference", "consumption", "settle", "beforeCommit", "payment"}
 	for _, point := range points {
@@ -163,7 +174,7 @@ func TestChaosReplicaLeaderKilledEveryPhase(t *testing.T) {
 			var buf bytes.Buffer
 			rs := startReplicaSet(t, &buf)
 			rs.killAt = killOnce(2, point)
-			runReplicaDays(t, rs, 3)
+			records := runReplicaDays(t, rs, 3)
 
 			if !bytes.Equal(buf.Bytes(), clean) {
 				t.Errorf("merged ledger diverged after %s kill:\n got: %s\nwant: %s", point, buf.Bytes(), clean)
@@ -183,6 +194,16 @@ func TestChaosReplicaLeaderKilledEveryPhase(t *testing.T) {
 				}
 			}
 			auditLedger(t, rs.ReplicaLedger(1), 3)
+			committed, err := rs.committedDay(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(committed, settled[1]) {
+				t.Errorf("committed day 2 after %s kill:\n got %+v\nwant %+v", point, committed, settled[1])
+			}
+			if !reflect.DeepEqual(records[1], settled[1]) {
+				t.Errorf("day 2 returned after %s kill:\n got %+v\nwant %+v", point, records[1], settled[1])
+			}
 		})
 	}
 }
@@ -309,5 +330,173 @@ func TestReplicaOptionValidation(t *testing.T) {
 	}
 	if _, err := StartReplicaSet(context.Background(), WithReplicas(3), WithReplicaID(3)); err == nil {
 		t.Error("out-of-range initial leader accepted, want range error")
+	}
+}
+
+// TestReplicaDayEntryAppliesLedgerWithoutParsingRecord pins the
+// parse-once day payload: replicas journal the ledger bytes sliced
+// from the entry and never parse the record JSON behind them, so a
+// record that is not JSON at all still commits the exact ledger line
+// everywhere. Only a redelivery decodes the record, and reports it.
+func TestReplicaDayEntryAppliesLedgerWithoutParsingRecord(t *testing.T) {
+	var buf bytes.Buffer
+	rs := startReplicaSet(t, &buf)
+	ledger := []byte(`{"day":1,"note":"exact bytes"}`)
+	if err := rs.replicate(replica.KindDay, 1, "", dayData(ledger, []byte("not json {")), ""); err != nil {
+		t.Fatal(err)
+	}
+	want := append(ledger, '\n')
+	for id := 0; id < 3; id++ {
+		if got := rs.ReplicaLedger(id); !bytes.Equal(got, want) {
+			t.Errorf("replica %d ledger %q, want %q", id, got, want)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("merged ledger %q, want %q", buf.Bytes(), want)
+	}
+	if rec, err := rs.committedDay(1); err == nil {
+		t.Errorf("committedDay decoded a non-JSON record: %+v", rec)
+	}
+}
+
+// TestReplicaGapResendCommits: a follower more than one entry behind
+// answers the fan-out append with a gap, receives the missing suffix,
+// and commits with the rest, so every replica journals the same days.
+func TestReplicaGapResendCommits(t *testing.T) {
+	var buf bytes.Buffer
+	rs := startReplicaSet(t, &buf)
+	leader, current := rs.nodes[0], rs.nodes[1]
+	var want []byte
+	dayEntry := func(day int) []byte {
+		line := []byte(`{"day":` + strconv.Itoa(day) + `}`)
+		want = append(append(want, line...), '\n')
+		return dayData(line, []byte(`{}`))
+	}
+	// Days 1 and 2 reach the leader and follower 1 only.
+	for day := 1; day <= 2; day++ {
+		e := leader.log.Append(1, uint64(day), replica.KindDay, "", dayEntry(day))
+		if err := current.log.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.replicate(replica.KindDay, 3, "", dayEntry(3), ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range rs.nodes {
+		if n.log.LastIndex() != 3 || n.log.Commit() != 3 {
+			t.Errorf("replica %d holds %d entries, commit %d; want 3/3", n.id, n.log.LastIndex(), n.log.Commit())
+		}
+		if got := rs.ReplicaLedger(n.id); !bytes.Equal(got, want) {
+			t.Errorf("replica %d ledger %q, want %q", n.id, got, want)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("merged ledger %q, want %q", buf.Bytes(), want)
+	}
+}
+
+// TestReplicaPeerConnRedial: follower links that break between days
+// are redialed once inside the next round — follower 1's connection is
+// closed, so the send fails; follower 2's is swapped for a link that
+// hangs up after taking the frame, so the send lands and the reply read
+// fails — and the day settles to the fault-free ledger on every
+// replica.
+func TestReplicaPeerConnRedial(t *testing.T) {
+	clean := runChaosDays(t, 2, nil)
+
+	var buf bytes.Buffer
+	rs := startReplicaSet(t, &buf)
+	var stale []net.Conn
+	rs.killAt = func(point string, day int, _ string) bool {
+		if day == 2 && point == "preference" && stale == nil {
+			near, far := net.Pipe()
+			go func() {
+				defer far.Close()
+				_, _ = replica.ReadMessage(far)
+			}()
+			rs.repMu.Lock()
+			rs.nodes[1].peerConn.Close()
+			rs.nodes[2].peerConn.Close()
+			stale = []net.Conn{rs.nodes[1].peerConn, near}
+			rs.nodes[2].peerConn = near
+			rs.repMu.Unlock()
+		}
+		return false
+	}
+	runReplicaDays(t, rs, 2)
+
+	if !bytes.Equal(buf.Bytes(), clean) {
+		t.Errorf("merged ledger diverged after peer redial:\n got: %s\nwant: %s", buf.Bytes(), clean)
+	}
+	for id := 0; id < 3; id++ {
+		if got := rs.ReplicaLedger(id); !bytes.Equal(got, clean) {
+			t.Errorf("replica %d ledger diverged after peer redial:\n got: %s\nwant: %s", id, got, clean)
+		}
+	}
+	rs.repMu.Lock()
+	defer rs.repMu.Unlock()
+	for i, id := range []int{1, 2} {
+		if c := rs.nodes[id].peerConn; c == nil || c == stale[i] {
+			t.Errorf("follower %d link was not redialed", id)
+		}
+	}
+	if f := rs.Failovers(); f != 0 {
+		t.Errorf("peer redial triggered %d failovers", f)
+	}
+}
+
+// TestReplicaHungFollowerKeepsQuorum: a follower that takes the
+// fan-out frame and never answers costs one quorum timeout, not the
+// round. The other follower's ack, already waiting, is still read, and
+// the hung link is redialed and acks too.
+func TestReplicaHungFollowerKeepsQuorum(t *testing.T) {
+	var buf bytes.Buffer
+	rs := startReplicaSet(t, &buf, WithQuorumTimeout(50*time.Millisecond))
+	near, far := net.Pipe()
+	go func() {
+		defer far.Close()
+		for {
+			if _, err := replica.ReadMessage(far); err != nil {
+				return
+			}
+		}
+	}()
+	rs.repMu.Lock()
+	rs.nodes[1].dropConn()
+	rs.nodes[1].peerConn = near
+	rs.repMu.Unlock()
+
+	if err := rs.replicate(replica.KindMember, 0, "", json.RawMessage(`{}`), ""); err != nil {
+		t.Fatalf("replicate with a hung follower: %v", err)
+	}
+	for _, n := range rs.nodes {
+		if n.log.LastIndex() != 1 || n.log.Commit() != 1 {
+			t.Errorf("replica %d holds %d entries, commit %d; want 1/1", n.id, n.log.LastIndex(), n.log.Commit())
+		}
+	}
+}
+
+// TestReplicaStaleTermAppendRefused: a follower that has seen a newer
+// term answers an append or commit from the older term "not leader"
+// and leaves its log alone.
+func TestReplicaStaleTermAppendRefused(t *testing.T) {
+	var buf bytes.Buffer
+	rs := startReplicaSet(t, &buf)
+	f := rs.nodes[1]
+	f.log.ObserveTerm(5)
+	msgs := []*replica.Message{
+		{Kind: replica.MsgAppend, Term: 1, Entry: &replica.Entry{Term: 1, Index: 1, Kind: replica.KindMember}},
+		{Kind: replica.MsgCommit, Term: 1, Commit: 1},
+	}
+	for _, m := range msgs {
+		rs.repMu.Lock()
+		reply := rs.round([]*replicaNode{f}, m)[0]
+		rs.repMu.Unlock()
+		if reply == nil || reply.OK || reply.Reason != "not leader" {
+			t.Errorf("stale-term %s answered %+v, want \"not leader\"", m.Kind, reply)
+		}
+	}
+	if f.log.LastIndex() != 0 || f.log.Commit() != 0 {
+		t.Errorf("stale-term frames changed the log: %d entries, commit %d", f.log.LastIndex(), f.log.Commit())
 	}
 }

@@ -1,8 +1,10 @@
 package netproto
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,12 +30,25 @@ type memberPayload struct {
 	Epoch uint64           `json:"epoch"`
 }
 
-// dayPayload is the replicated record of one settled day: the full day
-// record for redelivery plus the audit-ledger entry bytes every replica
-// appends at commit.
-type dayPayload struct {
-	Record *DayRecord      `json:"record"`
-	Ledger json.RawMessage `json:"ledger,omitempty"`
+// dayData lays out a day entry's payload as uvarint(len(ledger)) ‖
+// ledger ‖ record JSON: every replica slices out the ledger bytes it
+// journals without parsing anything, and only a redelivery after a
+// failover decodes the record.
+func dayData(ledger, record []byte) []byte {
+	data := make([]byte, 0, binary.MaxVarintLen64+len(ledger)+len(record))
+	data = binary.AppendUvarint(data, uint64(len(ledger)))
+	data = append(data, ledger...)
+	return append(data, record...)
+}
+
+// splitDay is dayData's inverse; ok is false when the length prefix
+// does not fit the payload.
+func splitDay(data []byte) (ledger, record []byte, ok bool) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return nil, nil, false
+	}
+	return data[k : k+int(n)], data[k+int(n):], true
 }
 
 // lockedBuffer is a mutex-guarded bytes.Buffer: follower apply paths
@@ -90,14 +105,14 @@ type ReplicaSet struct {
 	merged        *Journal     // the caller's WithLedger journal, written exactly once per day
 	nodes         []*replicaNode
 
-	mu            sync.Mutex
-	leaderID      int
-	term          uint64
-	failovers     uint64
-	days          map[int]*DayRecord // committed days, for redelivery after failover
-	mergedApplied map[int]bool       // days already written to the merged journal
+	mu        sync.Mutex
+	leaderID  int
+	term      uint64
+	failovers uint64
+	days      map[int]json.RawMessage // committed days' record JSON, each written once to the merged journal
 
 	repMu sync.Mutex // serializes replication rounds and takeovers
+	frame []byte     // the current round's encoded peer frame; guarded by repMu
 
 	// killAt is the chaos hook: called at every named kill point; a
 	// true return kills the current leader at that point.
@@ -134,8 +149,7 @@ func StartReplicaSet(ctx context.Context, opts ...Option) (*ReplicaSet, error) {
 		merged:        cfg.Ledger,
 		leaderID:      rc.leaderID,
 		term:          1,
-		days:          make(map[int]*DayRecord),
-		mergedApplied: make(map[int]bool),
+		days:          make(map[int]json.RawMessage),
 	}
 	// Replicas journal locally at commit; the leader center must not
 	// also append, so the replicated hooks replace the direct ledger.
@@ -212,12 +226,17 @@ func (n *replicaNode) serve() {
 
 func (n *replicaNode) serveConn(conn net.Conn) {
 	defer conn.Close()
+	r := bufio.NewReader(conn)
+	var out []byte
 	for {
-		m, err := replica.ReadMessage(conn)
+		m, err := replica.ReadMessage(r)
 		if err != nil {
 			return
 		}
-		if err := replica.WriteMessage(conn, n.handle(m)); err != nil {
+		if out, err = replica.AppendFrame(out[:0], n.handle(m)); err != nil {
+			return
+		}
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -267,17 +286,16 @@ func (n *replicaNode) handle(m *replica.Message) *replica.Message {
 
 // applyLocal applies newly committed entries to this replica's local
 // audit ledger. Day entries carry the leader's exact ledger bytes, so
-// every replica's journal is byte-identical over the committed prefix.
+// every replica's journal is byte-identical over the committed prefix;
+// the record JSON after them is never parsed here.
 func (n *replicaNode) applyLocal(newly []replica.Entry) {
 	for _, e := range newly {
 		if e.Kind != replica.KindDay {
 			continue
 		}
-		var p dayPayload
-		if err := json.Unmarshal(e.Data, &p); err != nil || p.Ledger == nil {
-			continue
+		if ledger, _, ok := splitDay(e.Data); ok && len(ledger) > 0 {
+			_ = n.ledger.appendLine(ledger)
 		}
-		_ = n.ledger.appendLine(p.Ledger)
 	}
 }
 
@@ -302,11 +320,11 @@ func (rs *ReplicaSet) onSettle(tid string, day int, record *DayRecord, ledger js
 	if rs.fireKill("settle", day, "settle") {
 		return errReplicaKilled
 	}
-	data, err := json.Marshal(dayPayload{Record: record, Ledger: ledger})
+	rec, err := json.Marshal(record)
 	if err != nil {
 		return err
 	}
-	return rs.replicate(replica.KindDay, day, "", data, "beforeCommit")
+	return rs.replicate(replica.KindDay, day, "", dayData(ledger, rec), "beforeCommit")
 }
 
 func (rs *ReplicaSet) beforeDeliver(day int) error {
@@ -349,13 +367,7 @@ func (rs *ReplicaSet) replicate(kind string, day int, phase string, data json.Ra
 	rs.mu.Unlock()
 
 	e := leader.log.Append(term, uint64(day), kind, phase, data)
-	q := replica.NewQuorum(rs.n)
-	q.Ack(leader.id)
-	for _, f := range rs.livePeers(leader.id) {
-		if rs.appendTo(leader, f, term, e) {
-			q.Ack(f.id)
-		}
-	}
+	q := rs.appendRound(leader, rs.livePeers(leader.id), term, e)
 	if killPoint != "" && rs.fireKill(killPoint, day, phase) {
 		return errReplicaKilled
 	}
@@ -363,89 +375,127 @@ func (rs *ReplicaSet) replicate(kind string, day int, phase string, data json.Ra
 		return fmt.Errorf("netproto: replicate %s day %d: %d/%d acks: %w", kind, day, q.Acks(), rs.n, ErrQuorumLost)
 	}
 	rs.applyCommitted(leader, leader.log.CommitTo(e.Index))
-	for _, f := range rs.livePeers(leader.id) {
-		rs.commitTo(f, term, e.Index)
-	}
+	rs.commitRound(rs.livePeers(leader.id), term, e.Index)
 	rs.publishMetrics()
 	return nil
 }
 
-// appendTo pushes one entry from leader to follower f, repairing log
-// gaps with a suffix resend. It reports whether the follower acked.
-func (rs *ReplicaSet) appendTo(leader, f *replicaNode, term uint64, e replica.Entry) bool {
-	reply, err := rs.call(f, &replica.Message{Kind: replica.MsgAppend, Term: term, Entry: &e})
-	if err != nil {
-		return false
+// appendRound pushes e to the followers in one fan-out and returns the
+// quorum of replicas, leader included, that hold it. A follower that
+// answers with a gap gets the missing suffix resent.
+func (rs *ReplicaSet) appendRound(leader *replicaNode, peers []*replicaNode, term uint64, e replica.Entry) *replica.Quorum {
+	q := replica.NewQuorum(rs.n)
+	q.Ack(leader.id)
+	for i, reply := range rs.round(peers, &replica.Message{Kind: replica.MsgAppend, Term: term, Entry: &e}) {
+		if reply != nil && !reply.OK && reply.Reason == "gap" {
+			suffix := &replica.Message{Kind: replica.MsgAppend, Term: term, Entries: leader.log.Suffix(reply.LastIndex)}
+			reply = rs.round(peers[i:i+1], suffix)[0]
+		}
+		if reply != nil && reply.OK {
+			q.Ack(peers[i].id)
+		}
 	}
-	if !reply.OK && reply.Reason == "gap" {
-		reply, err = rs.call(f, &replica.Message{Kind: replica.MsgAppend, Term: term, Entries: leader.log.Suffix(reply.LastIndex)})
+	return q
+}
+
+// commitRound raises the followers' commit watermark and waits for
+// their acks. It is best-effort: a missed commit is repaired by the
+// next round's cumulative watermark or by the next takeover's sync.
+func (rs *ReplicaSet) commitRound(peers []*replicaNode, term, index uint64) {
+	rs.round(peers, &replica.Message{Kind: replica.MsgCommit, Term: term, Commit: index})
+}
+
+// round encodes m once and sends it to every follower in fs before
+// reading any reply, so the followers handle it concurrently; each has
+// its own connection, so the replies are then read in turn without
+// goroutines. Each read gets its own quorum timeout, so a hung follower
+// cannot expire the replies already waiting from the others. A
+// follower whose send or read fails is retried once over a fresh
+// connection; replies[i] is nil when follower i stayed unreachable.
+// Callers hold repMu, which guards the frame buffer and the per-node
+// client connections.
+func (rs *ReplicaSet) round(fs []*replicaNode, m *replica.Message) []*replica.Message {
+	replies := make([]*replica.Message, len(fs))
+	frame, err := replica.AppendFrame(rs.frame[:0], m)
+	rs.frame = frame
+	if err != nil {
+		return replies
+	}
+	timeout := rs.quorumTimeout
+	sent := make([]bool, len(fs))
+	for i, f := range fs {
+		sent[i] = f.send(frame, timeout)
+	}
+	for i, f := range fs {
+		if sent[i] {
+			replies[i] = f.recv(timeout)
+		}
+		if replies[i] == nil && f.send(frame, timeout) {
+			replies[i] = f.recv(timeout)
+		}
+	}
+	return replies
+}
+
+// send writes one frame to n's peer listener, dialing first when n has
+// no connection; a failed write drops the connection.
+func (n *replicaNode) send(frame []byte, timeout time.Duration) bool {
+	if n.peerConn == nil {
+		conn, err := net.DialTimeout("tcp", n.peerAddr, timeout)
 		if err != nil {
 			return false
 		}
+		n.peerConn = conn
 	}
-	return reply.OK
+	_ = n.peerConn.SetWriteDeadline(time.Now().Add(timeout))
+	if _, err := n.peerConn.Write(frame); err != nil {
+		n.dropConn()
+		return false
+	}
+	return true
 }
 
-// commitTo raises a follower's commit watermark (best-effort: a missed
-// commit is repaired by the next round's cumulative watermark or by the
-// next takeover's sync).
-func (rs *ReplicaSet) commitTo(f *replicaNode, term, index uint64) {
-	_, _ = rs.call(f, &replica.Message{Kind: replica.MsgCommit, Term: term, Commit: index})
+// recv reads one reply frame; a failed read drops the connection, so a
+// late reply can never be mistaken for the answer to a later frame.
+func (n *replicaNode) recv(timeout time.Duration) *replica.Message {
+	_ = n.peerConn.SetReadDeadline(time.Now().Add(timeout))
+	reply, err := replica.ReadMessage(n.peerConn)
+	if err != nil {
+		n.dropConn()
+		return nil
+	}
+	return reply
 }
 
-// call sends one frame to a follower's peer listener and reads the
-// reply, redialing a stale connection once. Callers hold repMu, which
-// guards the per-node client connection.
-func (rs *ReplicaSet) call(f *replicaNode, m *replica.Message) (*replica.Message, error) {
-	deadline := time.Now().Add(rs.quorumTimeout)
-	for attempt := 0; attempt < 2; attempt++ {
-		if f.peerConn == nil {
-			conn, err := net.DialTimeout("tcp", f.peerAddr, rs.quorumTimeout)
-			if err != nil {
-				return nil, err
-			}
-			f.peerConn = conn
-		}
-		_ = f.peerConn.SetDeadline(deadline)
-		if err := replica.WriteMessage(f.peerConn, m); err != nil {
-			f.peerConn.Close()
-			f.peerConn = nil
-			continue
-		}
-		reply, err := replica.ReadMessage(f.peerConn)
-		if err != nil {
-			f.peerConn.Close()
-			f.peerConn = nil
-			continue
-		}
-		return reply, nil
+func (n *replicaNode) dropConn() {
+	if n.peerConn != nil {
+		n.peerConn.Close()
+		n.peerConn = nil
 	}
-	return nil, fmt.Errorf("netproto: replica %d unreachable", f.id)
 }
 
 // applyCommitted applies newly committed entries on the leader: day
 // entries land in the leader's local ledger and — exactly once per day,
 // however many takeovers intervene — in the merged journal and the
-// redelivery table.
+// redelivery table, which keeps the record JSON undecoded.
 func (rs *ReplicaSet) applyCommitted(leader *replicaNode, newly []replica.Entry) {
 	leader.applyLocal(newly)
 	for _, e := range newly {
 		if e.Kind != replica.KindDay {
 			continue
 		}
-		var p dayPayload
-		if err := json.Unmarshal(e.Data, &p); err != nil || p.Record == nil {
+		ledger, record, ok := splitDay(e.Data)
+		if !ok {
 			continue
 		}
 		rs.mu.Lock()
-		first := !rs.mergedApplied[e.Day]
-		if first {
-			rs.mergedApplied[e.Day] = true
-			rs.days[e.Day] = p.Record
+		_, applied := rs.days[e.Day]
+		if !applied {
+			rs.days[e.Day] = record
 		}
 		rs.mu.Unlock()
-		if first && rs.merged != nil && p.Ledger != nil {
-			_ = rs.merged.appendLine(p.Ledger)
+		if !applied && rs.merged != nil && len(ledger) > 0 {
+			_ = rs.merged.appendLine(ledger)
 		}
 	}
 }
@@ -540,9 +590,9 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 	// Adopt the longest log among the survivors and the highest commit
 	// watermark a majority already reached.
 	maxCommit := leader.log.Commit()
-	for _, f := range rs.livePeers(id) {
-		reply, err := rs.call(f, &replica.Message{Kind: replica.MsgSync, Term: term})
-		if err != nil || reply.Kind != replica.MsgLog {
+	peers := rs.livePeers(id)
+	for i, reply := range rs.round(peers, &replica.Message{Kind: replica.MsgSync, Term: term}) {
+		if reply == nil || reply.Kind != replica.MsgLog {
 			continue
 		}
 		if reply.Commit > maxCommit {
@@ -550,7 +600,7 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 		}
 		if uint64(len(reply.Entries)) > leader.log.LastIndex() {
 			if err := leader.log.Adopt(reply.Entries); err != nil {
-				return nil, fmt.Errorf("netproto: takeover adopt from replica %d: %w", f.id, err)
+				return nil, fmt.Errorf("netproto: takeover adopt from replica %d: %w", peers[i].id, err)
 			}
 		}
 	}
@@ -559,20 +609,11 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 	// Finish what the dead leader started: any entry a quorum acked but
 	// never committed is re-replicated (original terms) and committed.
 	for _, e := range leader.log.Suffix(leader.log.Commit()) {
-		q := replica.NewQuorum(rs.n)
-		q.Ack(id)
-		for _, f := range rs.livePeers(id) {
-			if rs.appendTo(leader, f, term, e) {
-				q.Ack(f.id)
-			}
-		}
-		if !q.Reached() {
+		if q := rs.appendRound(leader, rs.livePeers(id), term, e); !q.Reached() {
 			return nil, fmt.Errorf("netproto: takeover commit index %d: %d/%d acks: %w", e.Index, q.Acks(), rs.n, ErrQuorumLost)
 		}
 		rs.applyCommitted(leader, leader.log.CommitTo(e.Index))
-		for _, f := range rs.livePeers(id) {
-			rs.commitTo(f, term, e.Index)
-		}
+		rs.commitRound(rs.livePeers(id), term, e.Index)
 	}
 
 	// Rebuild the agent-facing state from the committed log.
@@ -628,11 +669,21 @@ func (rs *ReplicaSet) takeOver() (*Center, error) {
 	return c, nil
 }
 
-// committedDay returns the committed record for day, or nil.
-func (rs *ReplicaSet) committedDay(day int) *DayRecord {
+// committedDay returns the committed record for day, or nil when day
+// has not committed. The record JSON is decoded only here, when a day
+// is redelivered after a failover.
+func (rs *ReplicaSet) committedDay(day int) (*DayRecord, error) {
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.days[day]
+	raw, ok := rs.days[day]
+	rs.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	rec := new(DayRecord)
+	if err := json.Unmarshal(raw, rec); err != nil {
+		return nil, fmt.Errorf("netproto: committed day %d record: %w", day, err)
+	}
+	return rec, nil
 }
 
 // RunDayContext runs one settlement day against the replica set. A day
@@ -649,10 +700,14 @@ func (rs *ReplicaSet) RunDayContext(ctx context.Context, day int) (*DayRecord, e
 		if err != nil {
 			return nil, err
 		}
-		if rec := rs.committedDay(day); rec != nil {
+		rec, err := rs.committedDay(day)
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
 			return c.redeliverDay(rec), nil
 		}
-		rec, err := c.RunDayContext(ctx, day)
+		rec, err = c.RunDayContext(ctx, day)
 		if err != nil {
 			if errors.Is(err, errReplicaKilled) || rs.leaderDead(c) {
 				continue // fail over and resume the day
@@ -891,10 +946,7 @@ func (rs *ReplicaSet) Close() error {
 			c.Close()
 		}
 		rs.repMu.Lock()
-		if n.peerConn != nil {
-			n.peerConn.Close()
-			n.peerConn = nil
-		}
+		n.dropConn()
 		rs.repMu.Unlock()
 	}
 	return nil

@@ -9,6 +9,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,23 +28,24 @@ const (
 	// absentees) after the preference round, the consumptions (and
 	// substitutions) after the consumption round.
 	KindPhase = "phase"
-	// KindDay records a settled day: the DayRecord plus the marshaled
-	// audit-ledger entry, applied to every replica's local ledger at
-	// commit.
+	// KindDay records a settled day: the marshaled audit-ledger entry,
+	// applied to every replica's local ledger at commit, plus the
+	// DayRecord for redelivery after a failover.
 	KindDay = "day"
 )
 
 // Entry is one replicated log record. Index is 1-based and dense; Term
 // is the leadership term that appended the entry. Data is the kind-
-// specific payload, kept as raw JSON so replicas apply the leader's
-// exact bytes.
+// specific payload, carried as opaque bytes: the peer frame neither
+// copies nor parses it, so replicas apply the leader's exact bytes and
+// each apply step parses only the part it needs.
 type Entry struct {
-	Term  uint64          `json:"term"`
-	Index uint64          `json:"index"`
-	Kind  string          `json:"kind"`
-	Day   int             `json:"day,omitempty"`
-	Phase string          `json:"phase,omitempty"`
-	Data  json.RawMessage `json:"data,omitempty"`
+	Term  uint64
+	Index uint64
+	Kind  string
+	Day   int
+	Phase string
+	Data  json.RawMessage
 }
 
 // Sentinel errors of the quorum log.
@@ -142,7 +144,7 @@ func (l *Log) Insert(e Entry) error {
 	case e.Index >= 1 && e.Index <= uint64(len(l.entries)):
 		if e.Index <= l.commit {
 			have := l.entries[e.Index-1]
-			if have.Kind != e.Kind || have.Day != e.Day || have.Phase != e.Phase || !jsonEqual(have.Data, e.Data) {
+			if have.Kind != e.Kind || have.Day != e.Day || have.Phase != e.Phase || !bytes.Equal(have.Data, e.Data) {
 				return fmt.Errorf("index %d: %w", e.Index, ErrConflict)
 			}
 			return nil // idempotent re-delivery of a committed entry
@@ -223,18 +225,4 @@ func Elect(live []int) int {
 		}
 	}
 	return leader
-}
-
-// jsonEqual compares two raw JSON payloads byte-wise (both sides come
-// from the same marshaler, so semantic equality is byte equality).
-func jsonEqual(a, b json.RawMessage) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -156,14 +156,14 @@ func TestSuffixAndAdopt(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip: a peer message survives the length-prefixed JSON
-// framing over a real socket pair.
+// TestWireRoundTrip: a peer message survives the length-prefixed
+// binary framing over a real socket pair.
 func TestWireRoundTrip(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
 	want := &Message{Kind: MsgAppend, Term: 2, From: 0, Commit: 7,
-		Entry: &Entry{Term: 2, Index: 8, Kind: KindDay, Day: 3, Data: json.RawMessage(`{"x":1}`)}}
+		Entry: &Entry{Term: 2, Index: 8, Kind: KindDay, Day: 3, Data: []byte("\x07opaque\x00bytes")}}
 	go func() { _ = WriteMessage(client, want) }()
 	got, err := ReadMessage(server)
 	if err != nil {
