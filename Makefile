@@ -46,14 +46,15 @@ bench-check:
 	$(GO) run ./tools/benchdiff -baseline BENCH_sched.json -current /tmp/bench-check.json -alloc-slack 8
 
 # Wire-path benchmarks: batch-frame encode/decode per codec, full
-# sharded cluster days on the codec × batch-size axes, and a 3-replica
-# socket day (agent sessions plus quorum rounds). The raw log goes
+# sharded cluster days on the codec × batch-size axes, a loopback
+# socket center day per session codec, and a 3-replica socket day
+# (agent sessions plus quorum rounds). The raw log goes
 # to BENCH_net.txt and tools/benchjson converts it — including the
 # custom frames/op and wireB/op ReportMetric series — into the
 # committed BENCH_net.json baseline.
 bench-net:
 	$(GO) test ./internal/netproto -run '^$$' \
-		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|ReplicaDay)' \
+		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|CenterDay|ReplicaDay)' \
 		-benchmem | tee BENCH_net.txt
 	$(GO) run ./tools/benchjson -o BENCH_net.json BENCH_net.txt
 
@@ -64,7 +65,7 @@ bench-net:
 # only trips when batching actually degrades.
 bench-net-check:
 	$(GO) test ./internal/netproto -run '^$$' \
-		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|ReplicaDay)' \
+		-bench '^Benchmark(BatchEncode|BatchDecode|ClusterDay|CenterDay|ReplicaDay)' \
 		-benchmem > /tmp/bench-net.txt
 	$(GO) run ./tools/benchjson -o /tmp/bench-net.json /tmp/bench-net.txt
 	$(GO) run ./tools/benchdiff -baseline BENCH_net.json -current /tmp/bench-net.json \
@@ -77,7 +78,8 @@ bench-net-check:
 # and commit), the journal and ledger-merge edge cases under the race
 # detector, plus short fuzz passes over the wire codec, which is the
 # surface every injected fault ultimately exercises (including the
-# cluster's arena decoder against DecodeBatch), over the ledger
+# cluster's arena decoder and the TCP session's buffered frame reader
+# against DecodeBatch), over the ledger
 # encoder against encoding/json, and over the replica peer-frame
 # decoder.
 chaos:
@@ -90,6 +92,7 @@ chaos:
 	$(GO) test ./internal/netproto -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzDecodeBatchArena -fuzztime 10s
 	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 10s
+	$(GO) test ./internal/netproto -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s
 	$(GO) test ./internal/mechanism -run '^$$' -fuzz FuzzLedgerAppendJSON -fuzztime 10s
 	$(GO) test ./internal/replica -run '^$$' -fuzz FuzzReplicaMessage -fuzztime 10s
 

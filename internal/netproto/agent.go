@@ -212,7 +212,7 @@ func (a *Agent) handshake(conn net.Conn, token string) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("netproto: center selected unknown codec %q", welcome.Codec)
 		}
-		ws = &wireState{codec: codec}
+		ws = newWireState(codec, conn)
 	}
 	a.mu.Lock()
 	a.ws = ws

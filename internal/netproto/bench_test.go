@@ -136,6 +136,56 @@ func BenchmarkClusterDay(b *testing.B) {
 	}
 }
 
+// BenchmarkCenterDay settles a full day on a loopback TCP center with
+// 50 Connect agents, one sub-benchmark per session codec: the socket
+// rung of the ladder between ClusterDay (no sockets) and ReplicaDay
+// (plus quorum rounds). frames/op and wireB/op come from the obs
+// counters of the sent direction: center and agents share the process,
+// so that counts every frame once, and every send of a day is done by
+// the time RunDay returns, while the agents' last reads may not be.
+func BenchmarkCenterDay(b *testing.B) {
+	const households = 50
+	for _, codec := range []string{CodecJSON, CodecBinary} {
+		b.Run("codec="+codec, func(b *testing.B) {
+			center, err := StartCenter("127.0.0.1:0", WithCodec(codec), WithTraceSeed(7))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer center.Close()
+			gen, err := profile.NewGenerator(profile.DefaultConfig(), dist.New(42))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < households; i++ {
+				p := gen.Draw()
+				a, err := Connect(context.Background(), center.Addr(), core.HouseholdID(i), &Truthful{Type: p.TypeWide()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer a.Close()
+			}
+			if err := center.WaitForAgentsContext(context.Background(), households); err != nil {
+				b.Fatal(err)
+			}
+
+			reg := obs.Default()
+			frames := reg.Counter(obs.MetricNetFramesTotal, obs.LabelDirection, obs.DirectionSent)
+			wireBytes := reg.Counter(obs.MetricNetCodecBytesTotal, obs.LabelCodec, codec, obs.LabelDirection, obs.DirectionSent)
+			frames0, bytes0 := frames.Value(), wireBytes.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := center.RunDay(i + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(frames.Value()-frames0)/float64(b.N), "frames/op")
+			b.ReportMetric(float64(wireBytes.Value()-bytes0)/float64(b.N), "wireB/op")
+		})
+	}
+}
+
 // BenchmarkReplicaDay settles a full day through a 3-replica
 // StartReplicaSet with 50 loopback agents and the merged ledger on:
 // the agent sessions of a socket center plus the quorum rounds that

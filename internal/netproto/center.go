@@ -58,9 +58,9 @@ type CenterConfig struct {
 	FaultPlan *FaultPlan
 	// Codec is the batch-frame codec the center prefers when an agent's
 	// hello offers codec negotiation (CodecJSON or CodecBinary; empty
-	// behaves as CodecJSON). Connections whose hello offers nothing — a
-	// pre-batching agent — stay on the legacy per-message JSON framing
-	// regardless.
+	// behaves as CodecBinary). An agent that does not offer it gets
+	// JSON, and connections whose hello offers nothing — a pre-batching
+	// agent — stay on the legacy per-message JSON framing regardless.
 	Codec string
 	// Reporting enables metrics federation: agents and cluster shards
 	// piggyback metricsReport snapshots onto the settlement wire, and the
@@ -462,7 +462,7 @@ func (c *Center) handleConn(conn net.Conn) {
 	cc := &centerConn{id: hello.ID, conn: conn, inj: newFaultInjector(c.cfg.FaultPlan)}
 	var codecName string
 	if codec := selectCodec(c.cfg.Codec, hello.Codecs); codec != nil {
-		cc.ws = &wireState{codec: codec}
+		cc.ws = newWireState(codec, conn)
 		codecName = codec.Name()
 	}
 

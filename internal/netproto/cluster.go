@@ -31,7 +31,7 @@ type ClusterConfig struct {
 	// GOMAXPROCS. The worker count never changes a settled byte.
 	Workers int
 	// Codec names the batch-frame codec shard links encode with
-	// (CodecJSON or CodecBinary; empty means CodecJSON).
+	// (CodecJSON or CodecBinary; empty means CodecBinary).
 	Codec string
 	// BatchSize caps the messages per batch frame on shard links
 	// (≥ 1; zero means DefaultBatchSize).
@@ -171,7 +171,7 @@ func StartCluster(ctx context.Context, opts ...Option) (*Cluster, error) {
 		cfg.BatchSize = DefaultBatchSize
 	}
 	if cfg.Codec == "" {
-		cfg.Codec = CodecJSON
+		cfg.Codec = CodecBinary
 	}
 	if err := center.validate(); err != nil {
 		return nil, err

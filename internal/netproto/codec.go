@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -433,19 +434,16 @@ func (binaryCodec) Decode(data []byte, m *Message, a *msgArena) error {
 }
 
 // selectCodec is the center's half of codec negotiation: the first
-// entry of the preference list (the center's configured codec, then
-// JSON) that the agent offered and this build registers. An empty offer
-// — a pre-batching agent — selects nothing, and the connection stays on
-// legacy per-message JSON frames.
+// entry of the preference list (the center's configured codec, binary
+// when unset, then JSON) that the agent offered and this build
+// registers; the order of the offer itself plays no part. An empty
+// offer — a pre-batching agent — selects nothing, and the connection
+// stays on legacy per-message JSON frames.
 func selectCodec(preferred string, offered []string) Codec {
 	if len(offered) == 0 {
 		return nil
 	}
-	prefs := []string{preferred, CodecJSON}
-	for _, want := range prefs {
-		if want == "" {
-			continue
-		}
+	for _, want := range [...]string{cmp.Or(preferred, CodecBinary), CodecJSON} {
 		for _, name := range offered {
 			if name != want {
 				continue

@@ -108,8 +108,8 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 }
 
 // TestBatchRoundTripBothCodecs drives frames through the byte-level
-// write/read path (headers, counts, per-message lengths) for each codec
-// and for the degenerate single-message batch.
+// encode/read path (headers, counts, per-message lengths) for each
+// codec and for the degenerate single-message batch.
 func TestBatchRoundTripBothCodecs(t *testing.T) {
 	pref := core.MustPreference(17, 23, 3)
 	batches := [][]*Message{
@@ -123,11 +123,11 @@ func TestBatchRoundTripBothCodecs(t *testing.T) {
 	for _, name := range CodecNames() {
 		c, _ := LookupCodec(name)
 		for _, in := range batches {
-			var buf bytes.Buffer
-			if err := WriteBatch(&buf, c, in); err != nil {
+			frame, err := AppendBatch(nil, c, in)
+			if err != nil {
 				t.Fatalf("%s write: %v", name, err)
 			}
-			out, err := ReadBatch(&buf)
+			out, err := newFrameReader(bytes.NewReader(frame)).readFrame()
 			if err != nil {
 				t.Fatalf("%s read: %v", name, err)
 			}
@@ -164,8 +164,9 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 }
 
 // TestSelectCodec covers the negotiation matrix: empty offers stay
-// legacy, unknown preferences fall back to JSON, and the preferred
-// codec wins when offered.
+// legacy, unknown preferences fall back to JSON, an empty preference
+// means binary, and the preferred codec wins when offered, whatever the
+// offer's order.
 func TestSelectCodec(t *testing.T) {
 	cases := []struct {
 		preferred string
@@ -175,6 +176,8 @@ func TestSelectCodec(t *testing.T) {
 		{"", nil, ""},
 		{CodecBinary, nil, ""},
 		{"", []string{"json"}, "json"},
+		{"", []string{"json", "binary"}, "binary"},
+		{CodecJSON, []string{"binary", "json"}, "json"},
 		{CodecBinary, []string{"json", "binary"}, "binary"},
 		{CodecBinary, []string{"json"}, "json"},
 		{"zstd", []string{"json", "binary"}, "json"},
@@ -325,54 +328,16 @@ func TestNegotiationNewAgentAgainstLegacyCenter(t *testing.T) {
 
 // TestNegotiationBinaryEndToEnd runs a real TCP day under the binary
 // codec and asserts the negotiated framing actually carried it: the
-// per-codec byte counters must show binary traffic on both directions.
+// per-codec byte counters must show binary traffic and no JSON.
 func TestNegotiationBinaryEndToEnd(t *testing.T) {
-	obs.Default().Reset()
-	center, err := StartCenter("127.0.0.1:0",
-		WithCodec(CodecBinary),
+	counted, codec := negotiatedDay(t, WithCodec(CodecBinary),
 		WithScheduler(&sched.Greedy{Pricer: quad, Rating: 2}),
-		WithMechanism(mechanism.DefaultConfig()),
-		WithPhaseDeadline(5*time.Second),
-	)
-	if err != nil {
-		t.Fatal(err)
+		WithMechanism(mechanism.DefaultConfig()))
+	if codec != CodecBinary {
+		t.Errorf("negotiated %q, want %q", codec, CodecBinary)
 	}
-	defer center.Close()
-
-	types := []core.Type{
-		{True: core.MustPreference(18, 22, 2), ValuationFactor: 5},
-		{True: core.MustPreference(17, 23, 2), ValuationFactor: 4},
-	}
-	ctx := context.Background()
-	for i, typ := range types {
-		a, err := Connect(ctx, center.Addr(), core.HouseholdID(i), &Truthful{Type: typ})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-	}
-	if err := center.WaitForAgentsContext(ctx, len(types)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := center.RunDayContext(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := obs.Default().Snapshot()
-	var binaryBytes, frames uint64
-	for key, v := range snap.Counters {
-		if strings.Contains(key, obs.MetricNetCodecBytesTotal) && strings.Contains(key, CodecBinary) {
-			binaryBytes += v
-		}
-		if strings.Contains(key, obs.MetricNetFramesTotal) {
-			frames += v
-		}
-	}
-	if binaryBytes == 0 {
-		t.Error("no binary codec bytes counted after a binary-negotiated day")
-	}
-	if frames == 0 {
-		t.Error("no batch frames counted after a binary-negotiated day")
+	if counted[CodecBinary] == 0 || counted[CodecJSON] != 0 {
+		t.Errorf("codec bytes = %v after a binary-negotiated day, want binary only", counted)
 	}
 }
 

@@ -1,8 +1,6 @@
 package netproto
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -284,33 +282,27 @@ func (f *faultInjector) send(conn net.Conn, ws *wireState, m *Message) error {
 // writeGarbled frames m correctly but bit-flips every payload byte, so
 // the receiver's length-prefixed read succeeds and its decode fails — a
 // deterministic stand-in for on-wire corruption, under whichever
-// framing the connection negotiated.
+// framing the connection negotiated. The frame goes out in one Write.
 func writeGarbled(w net.Conn, ws *wireState, m *Message) error {
-	var payload []byte
+	var frame []byte
 	var err error
-	if ws != nil && ws.codec != nil {
+	if ws != nil {
 		// Garble the whole batch frame body after the length header: the
 		// codec ID or the message bytes are corrupted either way, and
 		// the receiver's DecodeBatch fails.
-		frame, ferr := AppendBatch(nil, ws.codec, []*Message{m})
-		if ferr != nil {
-			return ferr
-		}
-		payload = frame[4:]
-	} else if payload, err = json.Marshal(m); err != nil {
-		return fmt.Errorf("netproto: encode %s: %w", m.Kind, err)
+		frame, err = AppendBatch(nil, ws.codec, []*Message{m})
+	} else {
+		frame, err = legacyFrame(m)
 	}
-	for i := range payload {
-		payload[i] ^= 0x5a
+	if err != nil {
+		return err
 	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("netproto: write header: %w", err)
+	for i := 4; i < len(frame); i++ {
+		frame[i] ^= 0x5a
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("netproto: write payload: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("netproto: write frame: %w", err)
 	}
-	observeFrame(obs.DirectionSent, len(payload))
+	observeFrame(obs.DirectionSent, len(frame)-4)
 	return nil
 }

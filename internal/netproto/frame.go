@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -68,21 +69,6 @@ func AppendBatch(dst []byte, c Codec, msgs []*Message) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
 	return dst, nil
-}
-
-// WriteBatch frames and writes msgs as one batch frame encoded with c,
-// and records the frame in the wire metrics (frames, messages-per-frame
-// histogram, per-codec bytes).
-func WriteBatch(w io.Writer, c Codec, msgs []*Message) error {
-	frame, err := AppendBatch(nil, c, msgs)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("netproto: write frame: %w", err)
-	}
-	observeBatch(obs.DirectionSent, c, len(msgs), len(frame))
-	return nil
 }
 
 // observeBatch counts one batch frame: the legacy per-message traffic
@@ -322,19 +308,62 @@ func carve[T any](s *[]T) *T {
 	return p
 }
 
-// ReadBatch reads one batch frame from r and decodes its messages,
-// recording the frame in the wire metrics.
-func ReadBatch(r io.Reader) ([]*Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+// frameReaderSize is the buffered reader each negotiated connection
+// reads through. A session frame is about 30–170 bytes in binary (a few
+// hundred in JSON), so one read syscall takes in a whole frame, or
+// several, while the buffer stays small enough to allocate per
+// connection at set-up.
+const frameReaderSize = 512
+
+// frameReader adapts the batch framing to the one-message-at-a-time
+// read loops of the center and agent. It reads its connection through
+// a small buffered reader and copies each frame's payload into a
+// buffer it reuses, so a frame costs one read syscall and no allocation
+// of its own. Decoded messages never alias that buffer: both codecs
+// copy every string they decode.
+type frameReader struct {
+	br      *bufio.Reader
+	header  [4]byte
+	buf     []byte // payload buffer, reused across frames
+	pending []*Message
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameReaderSize)}
+}
+
+// next returns the next message, reading a frame when the decoded ones
+// run out. A frame that fails to decode is consumed whole, so the error
+// is that frame's alone and the following frame reads normally.
+func (fr *frameReader) next() (*Message, error) {
+	for len(fr.pending) == 0 {
+		msgs, err := fr.readFrame()
+		if err != nil {
+			return nil, err
+		}
+		fr.pending = msgs
+	}
+	m := fr.pending[0]
+	fr.pending = fr.pending[1:]
+	return m, nil
+}
+
+// readFrame reads one batch frame and decodes its messages, recording
+// the frame in the wire metrics. The length header is checked against
+// MaxFrameSize before the payload buffer grows.
+func (fr *frameReader) readFrame() ([]*Message, error) {
+	if _, err := io.ReadFull(fr.br, fr.header[:]); err != nil {
 		return nil, err // io.EOF is meaningful to callers; do not wrap
 	}
-	size := binary.BigEndian.Uint32(header[:])
+	size := binary.BigEndian.Uint32(fr.header[:])
 	if size > MaxFrameSize {
 		return nil, fmt.Errorf("netproto: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := fr.payload(int(size))
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("netproto: read payload: %w", err)
 	}
 	msgs, c, err := decodeBatch(nil, payload, nil)
@@ -347,56 +376,83 @@ func ReadBatch(r io.Reader) ([]*Message, error) {
 	return msgs, nil
 }
 
-// frameReader adapts the batch framing to the one-message-at-a-time
-// read loops of the center and agent: it reads a frame when its buffer
-// runs dry and hands out the decoded messages in order.
-type frameReader struct {
-	r       io.Reader
-	pending []*Message
-}
-
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
-func (fr *frameReader) next() (*Message, error) {
-	for len(fr.pending) == 0 {
-		msgs, err := ReadBatch(fr.r)
-		if err != nil {
-			return nil, err
-		}
-		fr.pending = msgs
+// payload reads the next n bytes into the payload buffer. A frame larger
+// than the buffer grows it only with bytes already received: the
+// buffered reader's contents are staged as each read delivers them, so
+// a length header alone never commits memory for bytes the peer has not
+// sent, and the buffer never holds more than the stream has delivered.
+func (fr *frameReader) payload(n int) ([]byte, error) {
+	if n <= cap(fr.buf) {
+		p := fr.buf[:n]
+		_, err := io.ReadFull(fr.br, p)
+		return p, err
 	}
-	m := fr.pending[0]
-	fr.pending = fr.pending[1:]
-	return m, nil
+	var staged [][]byte
+	for got := 0; got < n; {
+		if fr.br.Buffered() == 0 {
+			if _, err := fr.br.Peek(1); err != nil {
+				return nil, err
+			}
+		}
+		chunk := make([]byte, min(fr.br.Buffered(), n-got))
+		_, _ = fr.br.Read(chunk) // served from the buffered bytes
+		staged = append(staged, chunk)
+		got += len(chunk)
+	}
+	fr.buf = make([]byte, 0, n) // exactly n: append or Join may round up
+	for _, chunk := range staged {
+		fr.buf = append(fr.buf, chunk...)
+	}
+	return fr.buf, nil
 }
 
-// wireState is one connection's framing mode: nil codec means the
-// legacy per-message JSON framing, a non-nil codec means batch frames.
-// The reader is lazily created because the mode is decided only after
-// the hello/welcome exchange.
+// wireState is one negotiated connection's batch framing: its codec,
+// the reader its inbound frames are parsed through, and the buffer its
+// outbound frames are encoded in. A nil wireState is the legacy
+// per-message JSON framing. Neither buffer has a lock of its own: each
+// connection is read by one goroutine (the center's handleConn, the
+// agent's loop), the center's writes are serialized by centerConn.mu,
+// and an agent writes only from its loop goroutine. Keep it that way.
 type wireState struct {
 	codec Codec
 	fr    *frameReader
+	out   []byte      // write buffer, reused across frames
+	one   [1]*Message // the batch of one write sends
+}
+
+// newWireState sets up the batch framing of a connection that
+// negotiated codec c, reading from conn.
+func newWireState(c Codec, conn io.Reader) *wireState {
+	return &wireState{codec: c, fr: newFrameReader(conn)}
 }
 
 // write sends one message under the connection's framing (a batch of
 // one on negotiated connections — the TCP path serves one household per
 // connection, so cross-household batching happens on cluster links, not
-// here).
+// here) in a single Write.
 func (ws *wireState) write(w io.Writer, m *Message) error {
-	if ws == nil || ws.codec == nil {
+	if ws == nil {
 		return WriteMessage(w, m)
 	}
-	return WriteBatch(w, ws.codec, []*Message{m})
+	ws.one[0] = m
+	frame, err := AppendBatch(ws.out[:0], ws.codec, ws.one[:])
+	ws.one[0] = nil
+	if err != nil {
+		return err
+	}
+	ws.out = frame
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("netproto: write frame: %w", err)
+	}
+	observeBatch(obs.DirectionSent, ws.codec, 1, len(frame))
+	return nil
 }
 
-// read receives the next message under the connection's framing.
+// read receives the next message under the connection's framing; r is
+// the connection, read directly only on legacy framing.
 func (ws *wireState) read(r io.Reader) (*Message, error) {
-	if ws == nil || ws.codec == nil {
+	if ws == nil {
 		return ReadMessage(r)
-	}
-	if ws.fr == nil || ws.fr.r != r {
-		ws.fr = newFrameReader(r)
 	}
 	return ws.fr.next()
 }

@@ -268,3 +268,38 @@ func dump(msgs []*Message) string {
 	}
 	return b.String()
 }
+
+// FuzzFrameReader chunks a concatenation of valid and invalid batch
+// frames at fuzzer-chosen read boundaries. The frame reader must never
+// panic, must yield exactly the messages and errors per-frame
+// DecodeBatch yields, and its payload buffer must never exceed the
+// bytes delivered so far (nor MaxFrameSize).
+func FuzzFrameReader(f *testing.F) {
+	stream := sessionStream(f)
+	f.Add(stream, []byte{})
+	f.Add(stream, []byte{0, 1, 2, 3, 4, 5, 6, 7, 200, 3})
+	f.Add(stream[:len(stream)-3], []byte{2})
+	f.Add(append([]byte{0, 0x10, 0, 1}, stream...), []byte{0})
+	f.Add(append([]byte{0, 0, 1, 0}, stream...), []byte{9, 9, 9})
+	f.Add([]byte{0, 0x10, 0, 0, 1, 1, 0, 0, 0, 0}, []byte{}) // claims 1 MiB, delivers 6 bytes
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		want := referenceFrames(stream)
+		r := &chunkReader{data: stream, cuts: cuts}
+		fr := newFrameReader(r)
+		got := readFrames(fr, len(want), func() {
+			if limit := min(MaxFrameSize, r.delivered); cap(fr.buf) > limit {
+				t.Fatalf("payload buffer of %d bytes after %d delivered", cap(fr.buf), r.delivered)
+			}
+		})
+		// Compared only after every read, so a message that aliased the
+		// reused buffer would show the later frames' bytes.
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("read %d: got %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		}
+	})
+}

@@ -133,7 +133,7 @@ func defaultOptions() *options {
 			Pricer:    pricing.Quadratic{Sigma: pricing.DefaultSigma},
 			Mechanism: mechanism.DefaultConfig(),
 			Rating:    2,
-			Codec:     CodecJSON,
+			Codec:     CodecBinary,
 		},
 		agent: agentConfig{
 			codecs: CodecNames(),
@@ -243,9 +243,10 @@ func WithDialer(d DialFunc) Option {
 
 // WithCodec sets the batch-frame codec (CodecJSON or CodecBinary) the
 // center — or every shard link of a cluster — encodes with. On a TCP
-// center the codec still has to be negotiated: a connection whose agent
-// offers nothing stays on the legacy per-message JSON framing. Default:
-// CodecJSON.
+// center the codec still has to be negotiated: the center picks it when
+// the agent offers it and falls back to JSON otherwise, and a
+// connection whose agent offers nothing stays on the legacy per-message
+// JSON framing. Default: CodecBinary.
 func WithCodec(name string) Option {
 	return option("WithCodec", settlementTargets, func(o *options) {
 		o.center.Codec = name

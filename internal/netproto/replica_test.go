@@ -418,7 +418,7 @@ func TestReplicaPeerConnRedial(t *testing.T) {
 			rs.nodes[1].peerConn.Close()
 			rs.nodes[2].peerConn.Close()
 			stale = []net.Conn{rs.nodes[1].peerConn, near}
-			rs.nodes[2].peerConn = near
+			rs.nodes[2].setPeer(near)
 			rs.repMu.Unlock()
 		}
 		return false
@@ -463,7 +463,7 @@ func TestReplicaHungFollowerKeepsQuorum(t *testing.T) {
 	}()
 	rs.repMu.Lock()
 	rs.nodes[1].dropConn()
-	rs.nodes[1].peerConn = near
+	rs.nodes[1].setPeer(near)
 	rs.repMu.Unlock()
 
 	if err := rs.replicate(replica.KindMember, 0, "", json.RawMessage(`{}`), ""); err != nil {

@@ -82,9 +82,10 @@ type replicaNode struct {
 	ledger    *Journal
 	peerLn    net.Listener
 	peerAddr  string
-	peerConn  net.Conn // leader-side client conn; guarded by ReplicaSet.repMu
-	alive     bool     // guarded by ReplicaSet.mu
-	center    *Center  // non-nil only while this node leads; guarded by ReplicaSet.mu
+	peerConn  net.Conn      // leader-side client conn; guarded by ReplicaSet.repMu
+	peerR     *bufio.Reader // reads peerConn's acks; made and dropped with it
+	alive     bool          // guarded by ReplicaSet.mu
+	center    *Center       // non-nil only while this node leads; guarded by ReplicaSet.mu
 }
 
 // ReplicaSet is a settlement center replicated across 2f+1 nodes with a
@@ -438,14 +439,16 @@ func (rs *ReplicaSet) round(fs []*replicaNode, m *replica.Message) []*replica.Me
 }
 
 // send writes one frame to n's peer listener, dialing first when n has
-// no connection; a failed write drops the connection.
+// no connection; a failed write drops the connection. A redial gets a
+// fresh buffered reader, so no byte of the previous link's stream can
+// be read as a reply on the new one.
 func (n *replicaNode) send(frame []byte, timeout time.Duration) bool {
 	if n.peerConn == nil {
 		conn, err := net.DialTimeout("tcp", n.peerAddr, timeout)
 		if err != nil {
 			return false
 		}
-		n.peerConn = conn
+		n.setPeer(conn)
 	}
 	_ = n.peerConn.SetWriteDeadline(time.Now().Add(timeout))
 	if _, err := n.peerConn.Write(frame); err != nil {
@@ -455,11 +458,12 @@ func (n *replicaNode) send(frame []byte, timeout time.Duration) bool {
 	return true
 }
 
-// recv reads one reply frame; a failed read drops the connection, so a
-// late reply can never be mistaken for the answer to a later frame.
+// recv reads one reply frame through the link's buffered reader, one
+// read syscall per ack; a failed read drops the connection, so a late
+// reply can never be mistaken for the answer to a later frame.
 func (n *replicaNode) recv(timeout time.Duration) *replica.Message {
 	_ = n.peerConn.SetReadDeadline(time.Now().Add(timeout))
-	reply, err := replica.ReadMessage(n.peerConn)
+	reply, err := replica.ReadMessage(n.peerR)
 	if err != nil {
 		n.dropConn()
 		return nil
@@ -467,10 +471,16 @@ func (n *replicaNode) recv(timeout time.Duration) *replica.Message {
 	return reply
 }
 
+// setPeer installs conn as n's leader-side link, with a buffered reader
+// of its own for the acks.
+func (n *replicaNode) setPeer(conn net.Conn) {
+	n.peerConn, n.peerR = conn, bufio.NewReader(conn)
+}
+
 func (n *replicaNode) dropConn() {
 	if n.peerConn != nil {
 		n.peerConn.Close()
-		n.peerConn = nil
+		n.peerConn, n.peerR = nil, nil
 	}
 }
 

@@ -108,26 +108,34 @@ type PaymentDetail struct {
 	PeakLoad    float64 `json:"peakLoad"`    // peak hourly load
 }
 
-// WriteMessage frames and writes one message: a 4-byte big-endian
-// length followed by the JSON encoding.
+// WriteMessage frames and writes one message, header and payload in a
+// single Write: a 4-byte big-endian length followed by the JSON
+// encoding.
 func WriteMessage(w io.Writer, m *Message) error {
-	payload, err := json.Marshal(m)
+	frame, err := legacyFrame(m)
 	if err != nil {
-		return fmt.Errorf("netproto: encode %s: %w", m.Kind, err)
+		return err
 	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("netproto: frame of %d bytes exceeds limit", len(payload))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("netproto: write frame: %w", err)
 	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("netproto: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("netproto: write payload: %w", err)
-	}
-	observeFrame(obs.DirectionSent, len(payload))
+	observeFrame(obs.DirectionSent, len(frame)-4)
 	return nil
+}
+
+// legacyFrame builds m's legacy frame: the length header, then the
+// JSON encoding (the JSON codec's bytes).
+func legacyFrame(m *Message) ([]byte, error) {
+	frame, err := jsonCodec{}.Append([]byte{0, 0, 0, 0}, m)
+	if err != nil {
+		return nil, err
+	}
+	size := len(frame) - 4
+	if size > MaxFrameSize {
+		return nil, fmt.Errorf("netproto: frame of %d bytes exceeds limit", size)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	return frame, nil
 }
 
 // observeFrame counts one framed message and its on-wire size (header

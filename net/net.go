@@ -124,9 +124,10 @@ var (
 
 // Batch-frame codecs a connection or cluster link can negotiate.
 const (
-	// CodecJSON is the JSON codec inside batch frames (the default).
+	// CodecJSON is the JSON codec inside batch frames, the negotiation
+	// fallback.
 	CodecJSON = netproto.CodecJSON
-	// CodecBinary is the compact binary codec.
+	// CodecBinary is the compact binary codec (the default).
 	CodecBinary = netproto.CodecBinary
 	// DefaultBatchSize is the messages-per-frame cap when batching is
 	// enabled without an explicit WithBatchSize.
